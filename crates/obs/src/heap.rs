@@ -77,6 +77,17 @@ impl HeapSize for String {
     }
 }
 
+/// Borrowed counts as its owned copy would, so a trace weighs the same
+/// live (static labels) and read back from a file (owned labels).
+impl HeapSize for std::borrow::Cow<'_, str> {
+    fn heap_bytes(&self) -> usize {
+        match self {
+            std::borrow::Cow::Borrowed(s) => s.len(),
+            std::borrow::Cow::Owned(s) => s.capacity(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -989,28 +989,12 @@ impl<'a> Obs<'a> {
         }
     }
 
-    /// Value-histogram sample with a lazily formatted name.
-    #[inline]
-    pub fn value_fmt(&self, name: std::fmt::Arguments<'_>, v: u64) {
-        if self.rec.enabled() {
-            self.rec.value(&name.to_string(), v);
-        }
-    }
-
     /// Value-histogram sample carrying a trace exemplar (see
     /// [`Recorder::value_traced`]).
     #[inline]
     pub fn value_traced(&self, name: &str, v: u64, trace: TraceId) {
         if self.rec.enabled() {
             self.rec.value_traced(name, v, trace);
-        }
-    }
-
-    /// Traced value sample with a lazily formatted name.
-    #[inline]
-    pub fn value_traced_fmt(&self, name: std::fmt::Arguments<'_>, v: u64, trace: TraceId) {
-        if self.rec.enabled() {
-            self.rec.value_traced(&name.to_string(), v, trace);
         }
     }
 

@@ -51,6 +51,7 @@
 use crate::heap::HeapSize;
 use crate::json::{self, Json};
 use crate::{json_string, Obs};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
@@ -111,7 +112,9 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-/// The typed lifecycle events a request can accumulate.
+/// The typed lifecycle events a request can accumulate. Labels are
+/// `Cow`s: a server passes its `&'static str` labels without allocating,
+/// and [`traces_from_json`] reads them back as owned strings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEventKind {
     /// The request entered `Server::submit`.
@@ -125,7 +128,7 @@ pub enum TraceEventKind {
     /// shutdown (`shutdown`).
     Shed {
         /// Why the request was shed.
-        reason: String,
+        reason: Cow<'static, str>,
     },
     /// A worker popped the job.
     Dequeued {
@@ -137,12 +140,12 @@ pub enum TraceEventKind {
     /// The per-request guard truncated the run.
     GuardTrip {
         /// The guard's truncation reason (deadline, work budget, …).
-        reason: String,
+        reason: Cow<'static, str>,
     },
     /// The response was served from a degradation tier.
     Degraded {
         /// Tier label (`centroid`, `majority`, `top_support`).
-        tier: String,
+        tier: Cow<'static, str>,
     },
     /// The handler panicked; the worker boundary caught it.
     PanicRecovered,
@@ -158,7 +161,7 @@ pub enum TraceEventKind {
     /// Terminal event: the response (or error) was delivered.
     Finished {
         /// Outcome label (`complete`, `truncated`, `panicked`, …).
-        outcome: String,
+        outcome: Cow<'static, str>,
     },
 }
 
@@ -206,7 +209,7 @@ pub struct RequestTrace {
     /// Server-side submission sequence number (1-based).
     pub seq: u64,
     /// Endpoint label (`predict`, `score`, `recommend`).
-    pub endpoint: String,
+    pub endpoint: Cow<'static, str>,
     /// Lifecycle events in emission order.
     pub events: Vec<TraceEvent>,
     /// Time spent queued.
@@ -611,7 +614,7 @@ fn remove_at(ring: &mut VecDeque<Retained>, pos: usize) -> Retained {
             trace: RequestTrace {
                 id: TraceId(0),
                 seq: 0,
-                endpoint: String::new(),
+                endpoint: Cow::Borrowed(""),
                 events: Vec::new(),
                 queue_ns: 0,
                 exec_ns: 0,
@@ -715,11 +718,12 @@ fn parse_event(v: &Json) -> Result<TraceEvent, String> {
         .get("kind")
         .and_then(Json::as_str)
         .ok_or("trace: event missing string `kind`")?;
-    let str_field = |key: &str| -> Result<String, String> {
+    let str_field = |key: &str| -> Result<Cow<'static, str>, String> {
         Ok(v.get(key)
             .and_then(Json::as_str)
             .ok_or_else(|| format!("trace: `{kind}` event missing string `{key}`"))?
-            .to_owned())
+            .to_owned()
+            .into())
     };
     let u64_field = |key: &str| -> Result<u64, String> {
         v.get(key)
@@ -812,7 +816,8 @@ pub fn traces_from_json(input: &str) -> Result<Vec<RequestTrace>, String> {
                 .get("endpoint")
                 .and_then(Json::as_str)
                 .ok_or("trace: entry missing string `endpoint`")?
-                .to_owned(),
+                .to_owned()
+                .into(),
             events,
             queue_ns: u64_field("queue_ns")?,
             exec_ns: u64_field("exec_ns")?,

@@ -91,6 +91,15 @@ impl Endpoint {
             Self::Recommend => "recommend",
         }
     }
+
+    /// The endpoint's latency histogram, `serve.latency.<label>_ns`.
+    pub(crate) fn latency_metric(self) -> &'static str {
+        match self {
+            Self::Predict => "serve.latency.predict_ns",
+            Self::Score => "serve.latency.score_ns",
+            Self::Recommend => "serve.latency.recommend_ns",
+        }
+    }
 }
 
 /// One recommended item with its score (rule confidence on the full

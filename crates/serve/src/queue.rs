@@ -61,7 +61,13 @@ impl<T> AdmissionQueue<T> {
 
     /// Non-blocking admission. Returns the depth *after* the push (for
     /// the queue-depth gauge), or the item back with a typed refusal.
-    pub(crate) fn push(&self, item: T) -> Result<usize, PushError<T>> {
+    /// `admitted` runs on the queued item and that depth after the push
+    /// but before any popper can see the item.
+    pub(crate) fn push(
+        &self,
+        item: T,
+        admitted: impl FnOnce(&mut T, usize),
+    ) -> Result<usize, PushError<T>> {
         let mut inner = self.lock();
         if inner.closed {
             return Err(PushError::Closed(item));
@@ -71,6 +77,9 @@ impl<T> AdmissionQueue<T> {
         }
         inner.deque.push_back(item);
         let depth = inner.deque.len();
+        if let Some(queued) = inner.deque.back_mut() {
+            admitted(queued, depth);
+        }
         drop(inner);
         self.nonempty.notify_one();
         Ok(depth)
@@ -130,12 +139,20 @@ mod tests {
     #[test]
     fn push_respects_capacity_and_returns_depth() {
         let q = AdmissionQueue::new(2);
-        assert!(matches!(q.push(1), Ok(1)));
-        assert!(matches!(q.push(2), Ok(2)));
-        match q.push(3) {
-            Err(PushError::Full(item)) => assert_eq!(item, 3),
-            _ => panic!("expected Full"),
+        let mut admitted = Vec::new();
+        for item in 1..=3 {
+            let pushed = q.push(item, |queued, depth| admitted.push((*queued, depth)));
+            match (item, pushed) {
+                (1 | 2, Ok(depth)) => assert_eq!(depth, item),
+                (3, Err(PushError::Full(refused))) => assert_eq!(refused, 3),
+                _ => panic!("push {item}: unexpected outcome"),
+            }
         }
+        assert_eq!(
+            admitted,
+            vec![(1, 1), (2, 2)],
+            "only admitted items are reported"
+        );
         assert_eq!(q.depth(), 2);
         assert_eq!(q.capacity(), 2);
     }
@@ -149,10 +166,10 @@ mod tests {
     #[test]
     fn close_refuses_pushes_and_drains_leftovers() {
         let q = AdmissionQueue::new(4);
-        q.push(1).ok();
-        q.push(2).ok();
+        q.push(1, |_, _| {}).ok();
+        q.push(2, |_, _| {}).ok();
         q.close();
-        match q.push(3) {
+        match q.push(3, |_, _| {}) {
             Err(PushError::Closed(item)) => assert_eq!(item, 3),
             _ => panic!("expected Closed"),
         }
@@ -169,7 +186,7 @@ mod tests {
         let q2 = Arc::clone(&q);
         let handle = std::thread::spawn(move || q2.pop(Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(10));
-        q.push(42u32).ok();
+        q.push(42u32, |_, _| {}).ok();
         assert!(matches!(handle.join().unwrap(), Popped::Job(42)));
     }
 }

@@ -13,15 +13,16 @@
 //! worker increments `serve.worker.recycled` and returns to the loop —
 //! workers hold no request state, so recycling is exactly that.
 //!
-//! Metrics (all under the `serve.` subsystem, recorded when a recorder
-//! is attached): `serve.req.admitted`, `serve.shed.queue_full`,
-//! `serve.shed.shutdown`, `serve.resp.complete`, `serve.resp.truncated`,
-//! `serve.resp.malformed`, `serve.resp.unavailable`,
-//! `serve.degraded.<tier>`, `serve.worker.recycled`,
-//! `serve.queue.depth_peak` (gauge), and per-endpoint
-//! `serve.latency.<endpoint>_ns` / `serve.queue.wait_ns` histograms.
+//! Every lifecycle point of a request (admitted, shed, dequeued, refresh
+//! race, guard trip, degraded, panic recovered, finished) is reported by
+//! one [`emit`] call, which bumps the point's `serve.*` counter (see
+//! [`counter_name`]) and, when tracing is on, appends it to the request's
+//! trace. Besides those counters the server records the
+//! `serve.queue.depth` and `serve.queue.depth_peak` gauges and the
+//! `serve.request.{queue,exec}_ns` and per-endpoint
+//! `serve.latency.<endpoint>_ns` histograms.
 
-use crate::api::{Request, ServeError, ServeResult, Tier};
+use crate::api::{Endpoint, Request, ServeError, ServeResult, Tier};
 use crate::models::ModelSet;
 use crate::queue::{AdmissionQueue, Popped, PushError};
 use crate::ticket::{ticket_pair, Responder, Ticket};
@@ -92,6 +93,69 @@ struct TraceCtx {
     id: TraceId,
     submitted_gen: u64,
     events: Vec<TraceEvent>,
+}
+
+impl TraceCtx {
+    /// The completed trace, ready to offer to the store.
+    fn finish(
+        self,
+        seq: u64,
+        endpoint: Endpoint,
+        queue_ns: u64,
+        exec_ns: u64,
+        total_ns: u64,
+    ) -> RequestTrace {
+        RequestTrace {
+            id: self.id,
+            seq,
+            endpoint: endpoint.label().into(),
+            events: self.events,
+            queue_ns,
+            exec_ns,
+            total_ns,
+            pinned: Vec::new(),
+        }
+    }
+}
+
+/// The `serve.*` counter a lifecycle event bumps, if any: the one
+/// mapping from events to counters.
+fn counter_name(kind: &TraceEventKind) -> Option<&'static str> {
+    Some(match kind {
+        TraceEventKind::Admitted { .. } => "serve.req.admitted",
+        TraceEventKind::Shed { reason } => match &**reason {
+            "queue_full" => "serve.shed.queue_full",
+            "shutdown" => "serve.shed.shutdown",
+            _ => return None,
+        },
+        TraceEventKind::Degraded { tier } => match &**tier {
+            "centroid" => "serve.degraded.centroid",
+            "majority" => "serve.degraded.majority",
+            "top_support" => "serve.degraded.top_support",
+            _ => return None,
+        },
+        TraceEventKind::PanicRecovered => "serve.worker.recycled",
+        TraceEventKind::Finished { outcome } => match &**outcome {
+            "complete" => "serve.resp.complete",
+            "truncated" => "serve.resp.truncated",
+            "malformed" => "serve.resp.malformed",
+            "unavailable" => "serve.resp.unavailable",
+            // A panic is counted by `serve.worker.recycled`.
+            _ => return None,
+        },
+        _ => return None,
+    })
+}
+
+/// Reports one lifecycle point: bumps its counter and, when the request
+/// is traced, appends it to the trace `at_ns` after submission.
+fn emit(obs: &Obs<'_>, trace: &mut Option<TraceCtx>, at_ns: u64, kind: TraceEventKind) {
+    if let Some(name) = counter_name(&kind) {
+        obs.counter(name, 1);
+    }
+    if let Some(ctx) = trace {
+        ctx.events.push(TraceEvent { at_ns, kind });
+    }
 }
 
 struct Job {
@@ -264,16 +328,14 @@ impl Server {
             budget.max_work = Some(budget.max_work.map_or(cap, |m| m.min(cap)));
         }
         let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let trace = self.shared.tracer.as_ref().map(|t| TraceCtx {
+        let mut trace = self.shared.tracer.as_ref().map(|t| TraceCtx {
             id: TraceId::mint(t.seed(), seq),
             submitted_gen: self.shared.models_gen.load(Ordering::Acquire),
-            events: vec![TraceEvent {
-                at_ns: 0,
-                kind: TraceEventKind::Submitted,
-            }],
+            events: Vec::new(),
         });
+        emit(&obs, &mut trace, 0, TraceEventKind::Submitted);
         let (ticket, responder) = ticket_pair(trace.as_ref().map(|t| t.id));
-        let mut job = Job {
+        let job = Job {
             request,
             responder,
             budget,
@@ -282,84 +344,44 @@ impl Server {
             seq,
             trace,
         };
-        if let Some(ctx) = &mut job.trace {
-            // Recorded before the push (the job is gone on success):
-            // the depth is this submission's expected position. Exact
-            // under a single submitter; a racy estimate otherwise. A
-            // rejected push strips it again in `offer_shed_trace`.
-            ctx.events.push(TraceEvent {
-                at_ns: 0,
-                kind: TraceEventKind::Admitted {
-                    depth: self.shared.queue.depth() as u64 + 1,
-                },
-            });
-        }
-        match self.shared.queue.push(job) {
+        // Reported under the queue lock, after the push and before a
+        // worker can pop the job, so the trace still belongs to us and
+        // the depth is this submission's exact position.
+        let admitted = |job: &mut Job, depth: usize| {
+            let depth = depth as u64;
+            emit(&obs, &mut job.trace, 0, TraceEventKind::Admitted { depth });
+        };
+        match self.shared.queue.push(job, admitted) {
             Ok(depth) => {
-                obs.counter("serve.req.admitted", 1);
                 obs.gauge("serve.queue.depth", depth as f64);
                 obs.gauge_max("serve.queue.depth_peak", depth as f64);
                 Ok(ticket)
             }
-            Err(PushError::Full(job)) => {
-                obs.counter("serve.shed.queue_full", 1);
-                let depth = self.shared.queue.capacity();
-                self.offer_shed_trace(job, "queue_full", false, &obs);
-                Err(ServeError::Overloaded { depth })
-            }
-            Err(PushError::Closed(job)) => {
-                obs.counter("serve.shed.shutdown", 1);
-                self.offer_shed_trace(job, "shutdown", false, &obs);
-                Err(ServeError::ShuttingDown)
-            }
+            Err(PushError::Full(job)) => Err(self.shed(job, "queue_full", &obs)),
+            Err(PushError::Closed(job)) => Err(self.shed(job, "shutdown", &obs)),
         }
     }
 
-    /// Answers a rejected job and, when tracing is on, assembles and
-    /// offers its (always-anomalous) shed trace into shard 0.
-    /// `admitted` distinguishes shutdown-drained jobs (which really
-    /// were queued, so their `admitted` event stands) from admission
-    /// rejects (whose optimistic `admitted` event is stripped).
-    fn offer_shed_trace(&self, mut job: Job, reason: &str, admitted: bool, obs: &Obs<'_>) {
+    /// Reports a refused job's `shed` point, answers it, and offers its
+    /// (always anomalous) trace into shard 0. Returns the error it sent.
+    fn shed(&self, mut job: Job, reason: &'static str, obs: &Obs<'_>) -> ServeError {
         let error = match reason {
             "queue_full" => ServeError::Overloaded {
                 depth: self.shared.queue.capacity(),
             },
             _ => ServeError::ShuttingDown,
         };
-        job.responder.deliver(Err(error));
-        let (Some(tracer), Some(mut ctx)) = (self.shared.tracer.as_ref(), job.trace.take()) else {
-            return;
-        };
-        if !admitted
-            && ctx
-                .events
-                .last()
-                .is_some_and(|e| matches!(e.kind, TraceEventKind::Admitted { .. }))
-        {
-            ctx.events.pop();
-        }
         let total_ns = job.submitted.elapsed().as_nanos() as u64;
-        ctx.events.push(TraceEvent {
-            at_ns: total_ns,
-            kind: TraceEventKind::Shed {
-                reason: reason.to_owned(),
-            },
-        });
-        tracer.offer(
-            0,
-            RequestTrace {
-                id: ctx.id,
-                seq: job.seq,
-                endpoint: job.request.endpoint().label().to_owned(),
-                events: ctx.events,
-                queue_ns: 0,
-                exec_ns: 0,
-                total_ns,
-                pinned: Vec::new(),
-            },
-            obs,
-        );
+        let shed = TraceEventKind::Shed {
+            reason: reason.into(),
+        };
+        emit(obs, &mut job.trace, total_ns, shed);
+        job.responder.deliver(Err(error.clone()));
+        if let (Some(tracer), Some(ctx)) = (&self.shared.tracer, job.trace) {
+            let trace = ctx.finish(job.seq, job.request.endpoint(), 0, 0, total_ns);
+            tracer.offer(0, trace, obs);
+        }
+        error
     }
 
     /// Current admission-queue depth.
@@ -422,11 +444,10 @@ impl Server {
         let obs = self.shared.obs();
         let n = leftovers.len();
         for job in leftovers {
-            obs.counter("serve.shed.shutdown", 1);
             // Shed-at-shutdown traces are anomalous and always offered,
             // so gated experiments see exact retention counts even for
             // requests that never reached a worker.
-            self.offer_shed_trace(job, "shutdown", true, &obs);
+            self.shed(job, "shutdown", &obs);
         }
         n
     }
@@ -462,6 +483,18 @@ fn trip_label(reason: TruncationReason) -> &'static str {
     }
 }
 
+/// How a handled request ended: its `finished` label.
+fn outcome_label(result: &ServeResult) -> &'static str {
+    match result {
+        Ok(response) if response.status.is_complete() => "complete",
+        Ok(_) => "truncated",
+        Err(ServeError::WorkerPanicked) => "panicked",
+        Err(ServeError::Malformed(_)) => "malformed",
+        Err(ServeError::ModelUnavailable(_)) => "unavailable",
+        Err(_) => "error",
+    }
+}
+
 fn run_job(shared: &Shared, job: Job, worker: u32) {
     let Job {
         request,
@@ -476,25 +509,20 @@ fn run_job(shared: &Shared, job: Job, worker: u32) {
     obs.gauge("serve.queue.depth", shared.queue.depth() as f64);
     let waited = submitted.elapsed();
     let queue_ns = waited.as_nanos() as u64;
-    obs.value("serve.queue.wait_ns", queue_ns);
     obs.value("serve.request.queue_ns", queue_ns);
-    if let Some(ctx) = &mut trace {
-        ctx.events.push(TraceEvent {
-            at_ns: queue_ns,
-            kind: TraceEventKind::Dequeued {
-                worker,
-                wait_ns: queue_ns,
-            },
-        });
+    let dequeued = TraceEventKind::Dequeued {
+        worker,
+        wait_ns: queue_ns,
+    };
+    emit(&obs, &mut trace, queue_ns, dequeued);
+    if let Some(ctx) = &trace {
         let served_gen = shared.models_gen.load(Ordering::Acquire);
         if served_gen != ctx.submitted_gen {
-            ctx.events.push(TraceEvent {
-                at_ns: queue_ns,
-                kind: TraceEventKind::RefreshRace {
-                    submitted_gen: ctx.submitted_gen,
-                    served_gen,
-                },
-            });
+            let race = TraceEventKind::RefreshRace {
+                submitted_gen: ctx.submitted_gen,
+                served_gen,
+            };
+            emit(&obs, &mut trace, queue_ns, race);
         }
     }
     // Charge the queue wait against the deadline: the guard measures
@@ -532,102 +560,42 @@ fn run_job(shared: &Shared, job: Job, worker: u32) {
         }
         handle(&models, request, &guard)
     }));
-    let result = match outcome {
-        Ok(result) => result,
-        Err(_) => {
-            obs.counter("serve.worker.recycled", 1);
-            Err(ServeError::WorkerPanicked)
-        }
-    };
+    let result = outcome.unwrap_or(Err(ServeError::WorkerPanicked));
     let exec_ns = started.elapsed().as_nanos() as u64;
     obs.value("serve.request.exec_ns", exec_ns);
+    let latency = endpoint.latency_metric();
+    match &trace {
+        Some(ctx) => obs.value_traced(latency, exec_ns, ctx.id),
+        None => obs.value(latency, exec_ns),
+    }
+    let total_ns = submitted.elapsed().as_nanos() as u64;
     match &result {
         Ok(response) => {
-            match response.status {
-                RunStatus::Complete => obs.counter("serve.resp.complete", 1),
-                RunStatus::Truncated(_) => obs.counter("serve.resp.truncated", 1),
+            if let RunStatus::Truncated(reason) = response.status {
+                let trip = TraceEventKind::GuardTrip {
+                    reason: trip_label(reason).into(),
+                };
+                emit(&obs, &mut trace, total_ns, trip);
             }
             if response.tier != Tier::Full {
-                obs.counter_fmt(format_args!("serve.degraded.{}", response.tier.label()), 1);
+                let tier = response.tier.label().into();
+                let degraded = TraceEventKind::Degraded { tier };
+                emit(&obs, &mut trace, total_ns, degraded);
             }
         }
-        Err(ServeError::Malformed(_)) => obs.counter("serve.resp.malformed", 1),
-        Err(ServeError::ModelUnavailable(_)) => obs.counter("serve.resp.unavailable", 1),
+        Err(ServeError::WorkerPanicked) => {
+            emit(&obs, &mut trace, total_ns, TraceEventKind::PanicRecovered);
+        }
         Err(_) => {}
     }
-    match &trace {
-        Some(ctx) => obs.value_traced_fmt(
-            format_args!("serve.latency.{}_ns", endpoint.label()),
-            exec_ns,
-            ctx.id,
-        ),
-        None => obs.value_fmt(
-            format_args!("serve.latency.{}_ns", endpoint.label()),
-            exec_ns,
-        ),
-    }
-    if let Some(mut ctx) = trace {
-        let total_ns = submitted.elapsed().as_nanos() as u64;
-        let outcome_label = match &result {
-            Ok(response) => {
-                if let RunStatus::Truncated(reason) = response.status {
-                    ctx.events.push(TraceEvent {
-                        at_ns: total_ns,
-                        kind: TraceEventKind::GuardTrip {
-                            reason: trip_label(reason).to_owned(),
-                        },
-                    });
-                }
-                if response.tier != Tier::Full {
-                    ctx.events.push(TraceEvent {
-                        at_ns: total_ns,
-                        kind: TraceEventKind::Degraded {
-                            tier: response.tier.label().to_owned(),
-                        },
-                    });
-                }
-                if response.status.is_complete() {
-                    "complete"
-                } else {
-                    "truncated"
-                }
-            }
-            Err(ServeError::WorkerPanicked) => {
-                ctx.events.push(TraceEvent {
-                    at_ns: total_ns,
-                    kind: TraceEventKind::PanicRecovered,
-                });
-                "panicked"
-            }
-            Err(ServeError::Malformed(_)) => "malformed",
-            Err(ServeError::ModelUnavailable(_)) => "unavailable",
-            Err(_) => "error",
-        };
-        ctx.events.push(TraceEvent {
-            at_ns: total_ns,
-            kind: TraceEventKind::Finished {
-                outcome: outcome_label.to_owned(),
-            },
-        });
-        responder.deliver(result);
-        if let Some(tracer) = &shared.tracer {
-            tracer.offer(
-                worker as usize + 1,
-                RequestTrace {
-                    id: ctx.id,
-                    seq,
-                    endpoint: endpoint.label().to_owned(),
-                    events: ctx.events,
-                    queue_ns,
-                    exec_ns,
-                    total_ns,
-                    pinned: Vec::new(),
-                },
-                &obs,
-            );
-        }
-    } else {
-        responder.deliver(result);
+    let finished = TraceEventKind::Finished {
+        outcome: outcome_label(&result).into(),
+    };
+    emit(&obs, &mut trace, total_ns, finished);
+    responder.deliver(result);
+    if let (Some(tracer), Some(ctx)) = (&shared.tracer, trace) {
+        let trace = ctx.finish(seq, endpoint, queue_ns, exec_ns, total_ns);
+        tracer.offer(worker as usize + 1, trace, &obs);
     }
 }
 

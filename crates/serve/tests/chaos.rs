@@ -7,10 +7,13 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use dm_core::guard::RunStatus;
+use dm_core::obs::trace::TraceEventKind;
 use dm_core::obs::InMemoryRecorder;
 use dm_serve::{
-    ChaosConfig, LoadGenConfig, ModelKind, ModelSet, Request, ServeConfig, ServeError, Server, Tier,
+    ChaosConfig, LoadGenConfig, ModelKind, ModelSet, Request, RequestTrace, ServeConfig,
+    ServeError, Server, Tier, TraceConfig,
 };
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -244,7 +247,7 @@ fn retry_budget_caps_amplification_deterministically() {
 /// run's forensics ship as a build artifact.
 #[test]
 fn panic_recovery_traces_are_retained_and_dumpable() {
-    use dm_core::obs::trace::{traces_to_json, TraceConfig};
+    use dm_core::obs::trace::traces_to_json;
     let rec = Arc::new(InMemoryRecorder::new());
     let server = Server::start_chaos(
         ModelSet::demo(7).unwrap(),
@@ -334,4 +337,136 @@ fn load_generator_is_bit_reproducible_for_a_fixed_seed() {
         assert_eq!(x, y, "counter `{name}` differs across identical runs");
     }
     assert!(a.ok > 0 && a.malformed > 0, "{a:?}");
+}
+
+/// One seeded script against a server with one worker: a single-client
+/// load run with injected panics, guard trips and malformed rows, then a
+/// burst that overflows the queue. A server with no worker then answers
+/// its queued requests at shutdown, since a live worker drains the queue
+/// first. Returns the `serve.*` counters and every trace both servers
+/// retained.
+fn run_counter_script(traced: bool) -> (BTreeMap<String, u64>, Vec<RequestTrace>) {
+    const CAPACITY: usize = 4;
+    let rec = Arc::new(InMemoryRecorder::new());
+    let config = |workers| ServeConfig {
+        workers,
+        queue_capacity: CAPACITY,
+        default_deadline: Some(Duration::from_secs(5)),
+        trace: traced.then(|| TraceConfig {
+            seed: 0x5C21,
+            ring_capacity: 256,
+            sample_every: 1,
+            slowest_k: 0,
+            ..TraceConfig::default()
+        }),
+    };
+    let chaos = ChaosConfig {
+        panic_every: Some(7),
+        trip_every: Some(2),
+    };
+    let server = Server::start_chaos(
+        ModelSet::demo(7).unwrap(),
+        config(1),
+        Some(rec.clone()),
+        chaos.clone(),
+    );
+    let script = LoadGenConfig {
+        seed: 0x5C21,
+        clients: 1,
+        requests_per_client: 60,
+        max_attempts: 1,
+        malformed_ratio: 0.2,
+        deadline: None,
+        ..LoadGenConfig::default()
+    };
+    let report = dm_serve::loadgen::run(&server, &script);
+    assert_eq!(report.attempts, 60, "{report:?}");
+
+    // While `refresh_artifact` holds the bundle's write lock, the worker
+    // blocks on its first dequeued job, so exactly CAPACITY more are
+    // admitted and the rest of the burst sheds.
+    let mut tickets = Vec::new();
+    server.refresh_artifact(|models| {
+        tickets.push(server.submit(tiny_predict()));
+        let popped = std::time::Instant::now();
+        while server.queue_depth() > 0 {
+            assert!(popped.elapsed() < WAIT, "the worker never dequeued");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for _ in 0..CAPACITY + 3 {
+            tickets.push(server.submit(tiny_predict()));
+        }
+        models
+    });
+    let shed = tickets.iter().filter(|t| t.is_err()).count();
+    assert_eq!(shed, 3);
+    for ticket in tickets.into_iter().flatten() {
+        assert_ne!(ticket.wait(WAIT).err(), Some(ServeError::ResponseTimeout));
+    }
+    let mut traces = server.tracer().map(|t| t.retained()).unwrap_or_default();
+    server.shutdown();
+
+    let idle = Server::start_chaos(
+        ModelSet::demo(7).unwrap(),
+        config(0),
+        Some(rec.clone()),
+        chaos,
+    );
+    for _ in 0..2 {
+        idle.submit(tiny_predict()).unwrap();
+    }
+    let tracer = idle.tracer();
+    assert_eq!(idle.shutdown(), 2);
+    traces.extend(tracer.map(|t| t.retained()).unwrap_or_default());
+
+    let mut counters = rec.snapshot().counters;
+    counters.retain(|name, _| name.starts_with("serve."));
+    (counters, traces)
+}
+
+#[test]
+fn serve_counters_do_not_depend_on_tracing() {
+    let (untraced, none) = run_counter_script(false);
+    let (traced, traces) = run_counter_script(true);
+    assert!(none.is_empty());
+    assert_eq!(traced, untraced);
+
+    // The script reaches every labelled counter it is meant to.
+    for name in [
+        "serve.shed.queue_full",
+        "serve.shed.shutdown",
+        "serve.resp.complete",
+        "serve.resp.truncated",
+        "serve.resp.malformed",
+        "serve.degraded.centroid",
+        "serve.degraded.majority",
+        "serve.degraded.top_support",
+        "serve.worker.recycled",
+    ] {
+        assert!(
+            untraced.get(name).is_some_and(|&n| n > 0),
+            "{name}: {untraced:?}"
+        );
+    }
+
+    // Every request was traced and kept, and the lifecycle labels in the
+    // traces add up to the counters.
+    assert_eq!(traces.len() as u64, 60 + 1 + 4 + 3 + 2);
+    let mut from_traces = BTreeMap::new();
+    for kind in traces.iter().flat_map(|t| &t.events).map(|e| &e.kind) {
+        let name = match kind {
+            TraceEventKind::Admitted { .. } => "serve.req.admitted".to_owned(),
+            TraceEventKind::Shed { reason } => format!("serve.shed.{reason}"),
+            TraceEventKind::Degraded { tier } => format!("serve.degraded.{tier}"),
+            TraceEventKind::PanicRecovered => "serve.worker.recycled".to_owned(),
+            TraceEventKind::Finished { outcome } if outcome != "panicked" => {
+                format!("serve.resp.{outcome}")
+            }
+            _ => continue,
+        };
+        *from_traces.entry(name).or_insert(0u64) += 1;
+    }
+    let mut lifecycle = untraced;
+    lifecycle.remove("serve.artifact.refreshed");
+    assert_eq!(from_traces, lifecycle);
 }
