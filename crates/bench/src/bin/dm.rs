@@ -70,17 +70,25 @@ fn main() {
     std::process::exit(real_main());
 }
 
-/// Reads and parses one ledger record, mapping failures to a readable
-/// message and exit code 2.
-fn load(path: &str) -> Result<RunRecord, i32> {
+/// Reads and parses one input file (`what` names its kind), mapping
+/// failures to a readable message and exit code 2.
+fn load_file<T, E: std::fmt::Display>(
+    what: &str,
+    path: &str,
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<T, i32> {
     let text = std::fs::read_to_string(path).map_err(|e| {
-        eprintln!("cannot read ledger record `{path}`: {e}");
+        eprintln!("cannot read {what} `{path}`: {e}");
         2
     })?;
-    RunRecord::from_json(&text).map_err(|e| {
-        eprintln!("cannot parse ledger record `{path}`: {e}");
+    parse(&text).map_err(|e| {
+        eprintln!("cannot parse {what} `{path}`: {e}");
         2
     })
+}
+
+fn load(path: &str) -> Result<RunRecord, i32> {
+    load_file("ledger record", path, RunRecord::from_json)
 }
 
 fn cmd_show(path: &str) -> i32 {
@@ -298,22 +306,9 @@ fn cmd_watch(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let read = |path: &str| -> Result<String, i32> {
-        std::fs::read_to_string(path).map_err(|e| {
-            eprintln!("cannot read `{path}`: {e}");
-            2
-        })
-    };
-    let rules_text = match read(&parsed.rules) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    let rules = match RuleSet::from_json(&rules_text) {
+    let rules = match load_file("rule file", &parsed.rules, RuleSet::from_json) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot parse rule file `{}`: {e}", parsed.rules);
-            return 2;
-        }
+        Err(code) => return code,
     };
     let clock = Arc::new(ManualClock::new(0));
     let mut watcher = Watcher::new(rules, parsed.window_ms, clock.clone());
@@ -321,16 +316,9 @@ fn cmd_watch(args: &[String]) -> i32 {
     let obs = Obs::new(&sink);
     let mut transitions = Vec::new();
     for path in &parsed.snapshots {
-        let text = match read(path) {
-            Ok(t) => t,
-            Err(code) => return code,
-        };
-        let snap = match Snapshot::from_json(&text) {
+        let snap = match load_file("snapshot", path, Snapshot::from_json) {
             Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot parse snapshot `{path}`: {e}");
-                return 2;
-            }
+            Err(code) => return code,
         };
         clock.advance(parsed.tick_ms);
         transitions.extend(watcher.tick(&snap, &obs));
@@ -358,19 +346,6 @@ fn cmd_watch(args: &[String]) -> i32 {
     } else {
         0
     }
-}
-
-/// Reads and parses one trace dump (the `traces_to_json` format),
-/// mapping failures to a readable message and exit code 2.
-fn load_traces(path: &str) -> Result<Vec<dm_core::obs::trace::RequestTrace>, i32> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        eprintln!("cannot read trace file `{path}`: {e}");
-        2
-    })?;
-    traces_from_json(&text).map_err(|e| {
-        eprintln!("cannot parse trace file `{path}`: {e}");
-        2
-    })
 }
 
 /// Resolves an id argument against a parsed trace file. A well-formed
@@ -419,7 +394,7 @@ fn cmd_trace(args: &[String]) -> i32 {
             let [path] = positional.as_slice() else {
                 return usage("dm trace list needs exactly one trace file");
             };
-            let traces = match load_traces(path) {
+            let traces = match load_file("trace file", path, traces_from_json) {
                 Ok(t) => t,
                 Err(code) => return code,
             };
@@ -459,7 +434,7 @@ fn cmd_trace(args: &[String]) -> i32 {
                     args[0]
                 ));
             };
-            let traces = match load_traces(path) {
+            let traces = match load_file("trace file", path, traces_from_json) {
                 Ok(t) => t,
                 Err(code) => return code,
             };

@@ -40,7 +40,9 @@
 //! given, a [`TeeRecorder`] feeds both: the shared recorder keeps the
 //! span tree, the per-experiment recorder keeps its flat snapshot.
 
-use dm_core::obs::ledger::{snapshot_json_tagged, ExperimentRun, MetricDoc, RunRecord};
+use dm_core::obs::json::{Layout, Writer};
+use dm_core::obs::ledger::{ExperimentRun, MetricDoc, RunRecord};
+use dm_core::obs::Snapshot;
 use dm_core::prelude::{
     chrome_trace, folded_stacks, prometheus, Budget, Guard, InMemoryRecorder, NoopRecorder,
     ProgressRecorder, Recorder, RunStatus, TeeRecorder,
@@ -183,8 +185,9 @@ fn real_main() -> i32 {
     let outer = experiment_guard(deadline_ms, t_start);
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    // (id, snapshot json) per attempted experiment, in run order.
-    let mut snapshots: Vec<(String, String)> = Vec::new();
+    // (id, snapshot, truncation reason) per attempted experiment, in
+    // run order.
+    let mut snapshots: Vec<(String, Snapshot, Option<String>)> = Vec::new();
     let mut ledger_record = ledger_path.as_ref().map(|_| RunRecord {
         created_unix_ms,
         git_rev: git_rev(),
@@ -271,36 +274,29 @@ fn real_main() -> i32 {
         }
         if let Some(rec) = &metrics_rec {
             let snap = rec.snapshot();
-            if metrics_path.is_some() {
-                snapshots.push((
-                    id.to_string(),
-                    snapshot_json_tagged(&snap, truncated.as_deref()),
-                ));
-            }
             if let Some(record) = &mut ledger_record {
                 record.experiments.insert(
                     id.to_string(),
                     ExperimentRun {
                         wall_ms,
-                        truncated,
+                        truncated: truncated.clone(),
                         metrics: MetricDoc::from_snapshot(&snap),
                     },
                 );
             }
+            if metrics_path.is_some() {
+                snapshots.push((id.to_string(), snap, truncated));
+            }
         }
     }
     if let Some(path) = &metrics_path {
-        let mut json = String::from("{");
-        for (i, (id, snap)) in snapshots.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
+        let mut w = Writer::new();
+        w.obj(Layout::Compact, |w| {
+            for (id, snap, truncated) in &snapshots {
+                snap.write_json(w.key(id), truncated.as_deref());
             }
-            // Known experiment ids are plain ASCII identifiers; no
-            // escaping needed inside the key.
-            json.push_str(&format!("\"{id}\": {snap}"));
-        }
-        json.push_str("}\n");
-        if let Err(e) = std::fs::write(path, json) {
+        });
+        if let Err(e) = std::fs::write(path, w.finish() + "\n") {
             eprintln!("failed to write metrics file {path}: {e}");
             return 1;
         }

@@ -239,6 +239,7 @@ pub fn e18_trace(guard: &Guard) -> Result<String, DataError> {
                 continue;
             }
             let exemplars = snap.exemplars.get(name);
+            let mut replayed = false;
             for (bucket, count) in hist.nonzero_buckets() {
                 buckets += 1;
                 observations += count;
@@ -246,14 +247,17 @@ pub fn e18_trace(guard: &Guard) -> Result<String, DataError> {
                     if tracer.find(TraceId(ex.trace_id)).is_some() {
                         resolved += 1;
                     }
-                    // Replay the exemplar observation into the
-                    // experiment recorder, so the run's `--prom`
-                    // capture carries OpenMetrics exemplar lines (the
-                    // CI trace-smoke step validates them). The values
-                    // are wall-clock: `_ns` names keep them in the
-                    // ledger's noisy class.
-                    if obs.enabled() {
+                    // Replay one exemplar per series, the lowest
+                    // bucket's, into the experiment recorder, so the
+                    // run's `--prom` capture carries an OpenMetrics
+                    // exemplar line (the CI trace-smoke step validates
+                    // it). One per series keeps the gated `hist_count`
+                    // at 1 however many buckets the wall clock filled;
+                    // the value is wall-clock, and the `_ns` name keeps
+                    // it in the ledger's noisy class.
+                    if obs.enabled() && !replayed {
                         obs.value_traced(name, ex.value, TraceId(ex.trace_id));
+                        replayed = true;
                     }
                 }
             }

@@ -10,6 +10,7 @@
 //!   counters, gauges and histograms (cumulative `le` buckets).
 
 use crate::hist::bucket_max;
+use crate::json::{Layout, Writer};
 use crate::{Snapshot, SpanNode};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
@@ -83,22 +84,6 @@ fn resolve(snap: &Snapshot) -> (Vec<Closed<'_>>, BTreeMap<u64, Vec<usize>>) {
     (spans, children)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the span tree as chrome://tracing "trace event" JSON.
 ///
 /// Every closed span becomes a `B`/`E` pair with `ts` in microseconds
@@ -110,59 +95,43 @@ fn json_escape(s: &str) -> String {
 /// in `chrome://tracing` or [ui.perfetto.dev](https://ui.perfetto.dev).
 pub fn chrome_trace(snap: &Snapshot) -> String {
     let (spans, children) = resolve(snap);
-    let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [");
-    let mut first = true;
-    // Depth-first over roots; an explicit stack of (slot, next-child)
-    // keeps B/E strictly balanced per thread lane.
-    let roots = children.get(&0).cloned().unwrap_or_default();
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    let emit = |out: &mut String, first: &mut bool, s: &Closed<'_>, ph: char, ts_ns: u64| {
-        let sep = if *first { "" } else { "," };
-        *first = false;
-        let _ = write!(
-            out,
-            "{sep}\n  {{\"name\": \"{}\", \"cat\": \"dm\", \"ph\": \"{ph}\", \"ts\": {:.3}, \"pid\": 1, \"tid\": {}}}",
-            json_escape(&s.node.name),
-            ts_ns as f64 / 1e3,
-            s.node.tid
-        );
+    let emit = |w: &mut Writer, s: &Closed<'_>, ph: &str, ts_ns: u64| {
+        w.obj(Layout::Inline, |w| {
+            w.key("name").str(&s.node.name);
+            w.key("cat").str("dm").key("ph").str(ph);
+            w.key("ts").f64_fixed(ts_ns as f64 / 1e3, 3);
+            w.key("pid").u64(1).key("tid").u64(s.node.tid.into());
+        });
     };
-    for root in roots {
-        stack.push((root, 0));
-        emit(
-            &mut out,
-            &mut first,
-            &spans[root],
-            'B',
-            spans[root].start_ns,
-        );
-        while let Some(&mut (slot, ref mut next)) = stack.last_mut() {
-            let kids = children
-                .get(&spans[slot].node.id)
-                .map(Vec::as_slice)
-                .unwrap_or(&[]);
-            if *next < kids.len() {
-                let child = kids[*next];
-                *next += 1;
-                stack.push((child, 0));
-                emit(
-                    &mut out,
-                    &mut first,
-                    &spans[child],
-                    'B',
-                    spans[child].start_ns,
-                );
-            } else {
-                emit(&mut out, &mut first, &spans[slot], 'E', spans[slot].end_ns);
-                stack.pop();
+    let mut w = Writer::new();
+    w.obj(Layout::Inline, |w| {
+        w.key("displayTimeUnit").str("ms");
+        w.key("traceEvents").arr(Layout::Block, |w| {
+            // Depth-first over roots; an explicit stack of (slot,
+            // next-child) keeps B/E strictly balanced per thread lane.
+            let mut stack: Vec<(usize, usize)> = Vec::new();
+            for &root in children.get(&0).map(Vec::as_slice).unwrap_or(&[]) {
+                stack.push((root, 0));
+                emit(w, &spans[root], "B", spans[root].start_ns);
+                while let Some(&mut (slot, ref mut next)) = stack.last_mut() {
+                    let kids = children
+                        .get(&spans[slot].node.id)
+                        .map(Vec::as_slice)
+                        .unwrap_or(&[]);
+                    if *next < kids.len() {
+                        let child = kids[*next];
+                        *next += 1;
+                        stack.push((child, 0));
+                        emit(w, &spans[child], "B", spans[child].start_ns);
+                    } else {
+                        emit(w, &spans[slot], "E", spans[slot].end_ns);
+                        stack.pop();
+                    }
+                }
             }
-        }
-    }
-    if !first {
-        out.push('\n');
-    }
-    out.push_str("]}");
-    out
+        });
+    });
+    w.finish()
 }
 
 /// Renders the span tree as folded-stack lines for flamegraph tools:
@@ -292,24 +261,31 @@ mod tests {
 
     fn sample() -> Snapshot {
         let rec = InMemoryRecorder::new();
-        // Span durations are explicit: a live `obs.span` leaf can
-        // measure 0 ns under load, and folded_stacks rightly drops
-        // zero-self-time frames — the fixture must not depend on the
-        // clock's resolution.
-        let e = rec.span_begin("experiment.e1", SpanId::ROOT);
-        let p1 = rec.span_begin("assoc.apriori.pass1", e);
-        let s0 = rec.span_begin("par.shard0", p1);
-        rec.span_end(s0, "par.shard0", 100);
-        rec.span_end(p1, "assoc.apriori.pass1", 300);
-        let p2 = rec.span_begin("assoc.apriori.pass2", e);
-        rec.span_end(p2, "assoc.apriori.pass2", 200);
-        rec.span_end(e, "experiment.e1", 900);
         let obs = Obs::new(&rec);
         obs.counter("assoc.apriori.passes", 2);
         obs.gauge("assoc.mem.db_bytes", 1024.0);
         obs.value("par.shard.items", 100);
         obs.value("par.shard.items", 900);
-        rec.snapshot()
+        let mut snap = rec.snapshot();
+        // The span tree is built by hand: start offsets from a live
+        // recorder come from the clock, and `resolve` clamps children
+        // into their parent's interval, so a recorded fixture's folded
+        // output would depend on scheduling.
+        let node = |id, parent, name: &str, start_ns, dur_ns| SpanNode {
+            id,
+            parent,
+            name: name.into(),
+            tid: 0,
+            start_ns,
+            dur_ns: Some(dur_ns),
+        };
+        snap.tree = vec![
+            node(1, 0, "experiment.e1", 0, 900),
+            node(2, 1, "assoc.apriori.pass1", 100, 300),
+            node(3, 2, "par.shard0", 150, 100),
+            node(4, 1, "assoc.apriori.pass2", 500, 200),
+        ];
+        snap
     }
 
     #[test]
@@ -412,6 +388,17 @@ mod tests {
             let (_, v) = l.rsplit_once(' ').unwrap();
             v.parse::<u64>().unwrap();
         }
+        // Self time is duration minus children: 900 - 300 - 200 at the
+        // root, 300 - 100 in pass 1.
+        assert_eq!(
+            lines,
+            [
+                "experiment.e1 400",
+                "experiment.e1;assoc.apriori.pass1 200",
+                "experiment.e1;assoc.apriori.pass1;par.shard0 100",
+                "experiment.e1;assoc.apriori.pass2 200",
+            ]
+        );
     }
 
     #[test]

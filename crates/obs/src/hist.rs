@@ -10,6 +10,7 @@
 //! counts to within one power of two, which is what the p50/p99 span
 //! tables need.
 
+use crate::json::{FieldError, FromJson, Json, Layout, ToJson, Writer};
 use std::fmt;
 
 /// Number of buckets: one for zero plus one per power of two of `u64`.
@@ -180,6 +181,46 @@ impl Histogram {
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (i, c))
             .collect()
+    }
+}
+
+/// Reads the form [`ToJson`] writes, with every bucket index in range.
+impl FromJson<'_> for Histogram {
+    fn from_json(v: &Json) -> Result<Self, FieldError> {
+        let mut h = Histogram {
+            count: v.req("count")?,
+            sum: v.req("sum")?,
+            ..Histogram::default()
+        };
+        let buckets: Vec<Vec<u64>> = v.req("buckets")?;
+        for (i, pair) in buckets.iter().enumerate() {
+            match pair[..] {
+                [b, c] if b < N_BUCKETS as u64 => h.buckets[b as usize] = c,
+                _ => {
+                    return Err(FieldError::not("an [index < 65, count] pair")
+                        .within(format_args!("buckets[{i}]")))
+                }
+            }
+        }
+        Ok(h)
+    }
+}
+
+/// `{"count": c, "sum": s, "buckets": [[index, count], ...]}` with
+/// only non-empty buckets: the one form the snapshot and the ledger
+/// record share.
+impl ToJson for Histogram {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj(Layout::Inline, |w| {
+            w.key("count").u64(self.count).key("sum").u64(self.sum);
+            w.key("buckets").arr(Layout::Inline, |w| {
+                for (bucket, count) in self.nonzero_buckets() {
+                    w.arr(Layout::Inline, |w| {
+                        w.u64(bucket as u64).u64(count);
+                    });
+                }
+            });
+        });
     }
 }
 

@@ -1,20 +1,25 @@
-//! A minimal, dependency-free JSON reader for the run ledger.
+//! The workspace's one JSON codec. Every file it writes or reads
+//! (metric snapshots, ledger records and diff reports, trace files,
+//! chrome traces, SLO rule files, artifact bundles) goes through here:
 //!
-//! The workspace *writes* JSON by hand ([`crate::Snapshot::to_json`],
-//! the exporters) but until the ledger nothing ever had to *read* it
-//! back. This module is the missing half: a strict recursive-descent
-//! parser producing a [`Json`] tree. Numbers keep their raw source
-//! token so `u64` counters round-trip exactly — going through `f64`
-//! would silently corrupt counts above 2^53, which real candidate
-//! counters can reach on adversarial workloads.
+//! * [`parse`] — a strict recursive-descent parser producing a [`Json`]
+//!   tree. Numbers keep their raw source token so `u64` counters
+//!   round-trip exactly — going through `f64` would silently corrupt
+//!   counts above 2^53, which real candidate counters can reach on
+//!   adversarial workloads.
+//! * [`Json::req`] and friends — typed field reads. A missing or
+//!   mistyped key becomes a [`FieldError`] naming it; numbers read as
+//!   `f64` must be finite.
+//! * [`Writer`] — the only serializer: how a string is escaped, how a
+//!   number is spelled, and where commas and newlines go ([`Layout`]).
 //!
-//! Scope is deliberately small: no serde-style typed decoding, no
-//! streaming, inputs are trusted repo artifacts (ledger records,
-//! metric snapshots). Malformed input yields a [`JsonError`] with a
-//! byte offset, never a panic.
+//! Scope is deliberately small: no serde-style derive, no streaming.
+//! Malformed input yields a [`JsonError`] with a byte offset, never a
+//! panic.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A parsed JSON value. Object keys are kept sorted (`BTreeMap`), which
 /// matches the deterministic sorted-key serialization used everywhere
@@ -80,6 +85,135 @@ impl Json {
     /// Member lookup on objects (`None` for other kinds or missing keys).
     pub fn get(&self, key: &str) -> Option<&Json> {
         self.as_obj().and_then(|m| m.get(key))
+    }
+
+    /// This value read as a `T`; errors name it `name`.
+    pub fn to<'a, T: FromJson<'a>>(&'a self, name: impl fmt::Display) -> Result<T, FieldError> {
+        T::from_json(self).map_err(|e| e.within(name))
+    }
+
+    /// The required member `key` read as a `T`.
+    pub fn req<'a, T: FromJson<'a>>(&'a self, key: &str) -> Result<T, FieldError> {
+        let missing = || FieldError {
+            name: key.to_owned(),
+            expected: None,
+        };
+        self.get(key).ok_or_else(missing)?.to(key)
+    }
+
+    /// The optional member `key` read as a `T`: `None` when absent, an
+    /// error when present but mistyped.
+    pub fn opt<'a, T: FromJson<'a>>(&'a self, key: &str) -> Result<Option<T>, FieldError> {
+        self.get(key).map(|v| v.to(key)).transpose()
+    }
+}
+
+/// A typed read that failed: which value, and what it should have been.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldError {
+    /// The path of the offending value (e.g. `e1.gauges.g`,
+    /// `tree[3].name`); empty until a caller names it.
+    pub name: String,
+    /// What the value must be (e.g. `"a u64"`); `None` when it is
+    /// missing altogether.
+    pub expected: Option<&'static str>,
+}
+
+impl FieldError {
+    /// A value that is not `expected`, not yet named.
+    pub(crate) fn not(expected: &'static str) -> Self {
+        Self {
+            name: String::new(),
+            expected: Some(expected),
+        }
+    }
+
+    /// The same error, with its path placed under `parent`.
+    pub(crate) fn within(mut self, parent: impl fmt::Display) -> Self {
+        self.name = match self.name.chars().next() {
+            None => parent.to_string(),
+            Some('[') => format!("{parent}{}", self.name),
+            Some(_) => format!("{parent}.{}", self.name),
+        };
+        self
+    }
+}
+
+impl fmt::Display for FieldError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.expected {
+            None => write!(f, "missing `{}`", self.name),
+            Some(what) => write!(f, "`{}` is not {what}", self.name),
+        }
+    }
+}
+
+impl std::error::Error for FieldError {}
+
+/// Lets readers that report plain-text errors use `?` on field reads.
+impl From<FieldError> for String {
+    fn from(e: FieldError) -> String {
+        e.to_string()
+    }
+}
+
+/// A type a [`Json`] value can be read as (see [`Json::to`]).
+pub trait FromJson<'a>: Sized {
+    /// The conversion. Errors name the offending value's path below
+    /// `v` (empty when `v` itself is the problem).
+    fn from_json(v: &'a Json) -> Result<Self, FieldError>;
+}
+
+macro_rules! from_json {
+    ($($t:ty => $what:literal, |$v:ident| $conv:expr;)*) => {$(
+        impl<'a> FromJson<'a> for $t {
+            fn from_json($v: &'a Json) -> Result<Self, FieldError> {
+                $conv.ok_or_else(|| FieldError::not($what))
+            }
+        }
+    )*};
+}
+
+// `f64` reads only finite numbers: `1e999` parses, but is no `f64`.
+from_json! {
+    u64 => "a u64", |v| v.as_u64();
+    u32 => "a u32", |v| v.as_u64().and_then(|x| x.try_into().ok());
+    usize => "a usize", |v| v.as_u64().and_then(|x| x.try_into().ok());
+    f64 => "a finite number", |v| v.as_f64().filter(|x| x.is_finite());
+    &'a str => "a string", |v| v.as_str();
+    String => "a string", |v| v.as_str().map(str::to_owned);
+    &'a [Json] => "an array", |v| v.as_arr();
+    &'a BTreeMap<String, Json> => "an object", |v| v.as_obj();
+    &'a Json => "any value", |v| Some(v);
+}
+
+/// `null` reads as `None`.
+impl<'a, T: FromJson<'a>> FromJson<'a> for Option<T> {
+    fn from_json(v: &'a Json) -> Result<Self, FieldError> {
+        match v {
+            Json::Null => Ok(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
+}
+
+/// Every element read as a `T`; errors name the element (`[i]`).
+impl<'a, T: FromJson<'a>> FromJson<'a> for Vec<T> {
+    fn from_json(v: &'a Json) -> Result<Self, FieldError> {
+        let items: &[Json] = FromJson::from_json(v)?;
+        let item = |(i, v)| T::from_json(v).map_err(|e| e.within(format_args!("[{i}]")));
+        items.iter().enumerate().map(item).collect()
+    }
+}
+
+/// Every member read as a `T`; errors name the member.
+impl<'a, T: FromJson<'a>> FromJson<'a> for BTreeMap<String, T> {
+    fn from_json(v: &'a Json) -> Result<Self, FieldError> {
+        let members: &BTreeMap<String, Json> = FromJson::from_json(v)?;
+        members
+            .iter()
+            .map(|(k, v)| Ok((k.clone(), v.to(k)?)))
+            .collect()
     }
 }
 
@@ -354,6 +488,240 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// A value with one JSON spelling, so a [`Writer`] can take it whole
+/// ([`Writer::val`]) or a list or map of it.
+pub trait ToJson {
+    /// Writes the value into `w`.
+    fn write_json(&self, w: &mut Writer);
+}
+
+macro_rules! to_json {
+    ($($t:ty => |$v:ident, $w:ident| $write:expr;)*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, $w: &mut Writer) {
+                let $v = self;
+                $write;
+            }
+        }
+    )*};
+}
+
+// Floats take the shortest round-trip `Debug` spelling ([`Writer::f64`]).
+to_json! {
+    u64 => |v, w| w.u64(*v);
+    u32 => |v, w| w.u64((*v).into());
+    usize => |v, w| w.u64(*v as u64);
+    f64 => |v, w| w.f64(*v);
+    String => |v, w| w.str(v);
+}
+
+/// `None` is `null`.
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, w: &mut Writer) {
+        match self {
+            Some(v) => v.write_json(w),
+            None => {
+                w.null();
+            }
+        }
+    }
+}
+
+/// How a [`Writer`] container lays out its members.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// One member per line, indented two spaces per enclosing `Block`;
+    /// the closing bracket gets its own line unless the container is
+    /// empty (`{}` / `[]`).
+    Block,
+    /// All members on one line, separated by `", "`.
+    Inline,
+    /// All members on one line, separated by `","`.
+    Compact,
+}
+
+/// The workspace's JSON serializer. Values are appended in document
+/// order; containers take a closure that writes their members, so
+/// brackets always balance. Object members are a [`Writer::key`]
+/// followed by one value.
+///
+/// Spelling: strings escape `"`, `\`, `\n`, `\r`, `\t` and other
+/// control characters (`\u00XX`); keys and values print as `"k": v`;
+/// non-finite floats print as `null`, whichever float spelling the
+/// caller picks.
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+    /// Open containers: layout and members written so far.
+    open: Vec<(Layout, usize)>,
+    /// A key was just written, so the next value completes its member.
+    keyed: bool,
+}
+
+impl Writer {
+    /// An empty writer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The text written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    /// A newline, indented two spaces per open `Block` container.
+    fn newline(&mut self) {
+        self.out.push('\n');
+        for _ in self.open.iter().filter(|(l, _)| *l == Layout::Block) {
+            self.out.push_str("  ");
+        }
+    }
+
+    /// Writes the separator before a new member of the innermost
+    /// container (nothing when completing a keyed member).
+    fn member(&mut self) {
+        if std::mem::take(&mut self.keyed) {
+            return;
+        }
+        let Some((layout, members)) = self.open.last_mut() else {
+            return;
+        };
+        let (layout, first) = (*layout, *members == 0);
+        *members += 1;
+        match layout {
+            Layout::Block if first => self.newline(),
+            Layout::Block => {
+                self.out.push(',');
+                self.newline();
+            }
+            Layout::Inline if !first => self.out.push_str(", "),
+            Layout::Compact if !first => self.out.push(','),
+            _ => {}
+        }
+    }
+
+    fn container(
+        &mut self,
+        layout: Layout,
+        brackets: [char; 2],
+        body: impl FnOnce(&mut Self),
+    ) -> &mut Self {
+        self.member();
+        self.out.push(brackets[0]);
+        self.open.push((layout, 0));
+        body(self);
+        if let Some((Layout::Block, 1..)) = self.open.pop() {
+            self.newline();
+        }
+        self.out.push(brackets[1]);
+        self
+    }
+
+    /// A value with its one JSON spelling (see [`ToJson`]).
+    pub fn val(&mut self, v: &impl ToJson) -> &mut Self {
+        v.write_json(self);
+        self
+    }
+
+    /// An array of `items`.
+    pub fn list<'v, T: ToJson + 'v>(
+        &mut self,
+        layout: Layout,
+        items: impl IntoIterator<Item = &'v T>,
+    ) -> &mut Self {
+        self.arr(layout, |w| items.into_iter().for_each(|v| v.write_json(w)))
+    }
+
+    /// An object with one member per entry of `map`, in key order.
+    pub fn map<T: ToJson>(&mut self, layout: Layout, map: &BTreeMap<String, T>) -> &mut Self {
+        self.obj(layout, |w| {
+            map.iter().for_each(|(k, v)| v.write_json(w.key(k)))
+        })
+    }
+
+    /// An object; `body` writes its members.
+    pub fn obj(&mut self, layout: Layout, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container(layout, ['{', '}'], body)
+    }
+
+    /// An array; `body` writes its elements.
+    pub fn arr(&mut self, layout: Layout, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container(layout, ['[', ']'], body)
+    }
+
+    /// The key of the next object member.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.str(key);
+        self.out.push_str(": ");
+        self.keyed = true;
+        self
+    }
+
+    /// A string, escaped.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.member();
+        self.out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => self.out.push_str("\\\""),
+                '\\' => self.out.push_str("\\\\"),
+                '\n' => self.out.push_str("\\n"),
+                '\r' => self.out.push_str("\\r"),
+                '\t' => self.out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(self.out, "\\u{:04x}", c as u32);
+                }
+                c => self.out.push(c),
+            }
+        }
+        self.out.push('"');
+        self
+    }
+
+    /// An integer.
+    pub fn u64(&mut self, v: u64) -> &mut Self {
+        self.member();
+        let _ = write!(self.out, "{v}");
+        self
+    }
+
+    /// `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.member();
+        self.out.push_str("null");
+        self
+    }
+
+    fn finite(&mut self, v: f64, spelled: fmt::Arguments<'_>) -> &mut Self {
+        if !v.is_finite() {
+            return self.null();
+        }
+        self.member();
+        let _ = self.out.write_fmt(spelled);
+        self
+    }
+
+    /// A float in Rust's shortest round-trip `Debug` spelling: always a
+    /// decimal point or an exponent (`1.0`, `1e-7`). The metric, ledger
+    /// and diff formats use it.
+    pub fn f64(&mut self, v: f64) -> &mut Self {
+        self.finite(v, format_args!("{v:?}"))
+    }
+
+    /// A float in Rust's shortest round-trip `Display` spelling: plain
+    /// decimal, no exponent (`1`, `0.0000001`). The artifact bundle
+    /// uses it.
+    pub fn f64_plain(&mut self, v: f64) -> &mut Self {
+        self.finite(v, format_args!("{v}"))
+    }
+
+    /// A float with exactly `digits` fractional digits (chrome-trace
+    /// microsecond timestamps).
+    pub fn f64_fixed(&mut self, v: f64, digits: usize) -> &mut Self {
+        self.finite(v, format_args!("{v:.digits$}"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,6 +782,22 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn writer_lays_out_block_inline_and_compact() {
+        let mut w = Writer::new();
+        w.obj(Layout::Compact, |w| {
+            w.key("a").obj(Layout::Block, |w| {
+                w.key("xs").list(Layout::Inline, &[1u64, 2]);
+                w.key("empty").arr(Layout::Block, |_| {});
+            });
+            w.key("b").str("t\tab\u{1}").key("c").f64(f64::NAN);
+        });
+        assert_eq!(
+            w.finish(),
+            "{\"a\": {\n  \"xs\": [1, 2],\n  \"empty\": []\n},\"b\": \"t\\tab\\u0001\",\"c\": null}"
+        );
     }
 
     #[test]

@@ -31,8 +31,12 @@
 //! `dm-bench`) is the command-line surface.
 
 use crate::hist::{bucket_index, bucket_max};
-use crate::json::{parse, Json, JsonError};
-use crate::{Histogram, Snapshot};
+use crate::json::{
+    parse, FieldError, FromJson, Json, JsonError,
+    Layout::{Block, Inline},
+    ToJson, Writer,
+};
+use crate::{Histogram, Snapshot, SpanStat};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -69,14 +73,11 @@ impl fmt::Display for LedgerError {
 
 impl std::error::Error for LedgerError {}
 
-/// Aggregate of all span-tree nodes sharing one root-to-node name path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanRollup {
-    /// Number of tree nodes on this path.
-    pub count: u64,
-    /// Total nanoseconds across them (open/leaked spans count 0).
-    pub total_ns: u64,
-}
+/// Aggregate of all span-tree nodes sharing one root-to-node name
+/// path: how many nodes, and their total nanoseconds (open or leaked
+/// spans count 0). The same pair, and the same JSON, as a snapshot's
+/// per-name [`SpanStat`].
+pub type SpanRollup = SpanStat;
 
 /// The ledger's view of one experiment's [`Snapshot`]: everything
 /// deterministic or aggregate, nothing per-occurrence.
@@ -179,64 +180,47 @@ pub struct RunRecord {
 // Serialization
 // ---------------------------------------------------------------------------
 
-/// Escapes `s` as a JSON string literal (quotes included).
-fn jstr(s: &str) -> String {
-    crate::json_string(s)
-}
-
-/// Formats a finite `f64` exactly as [`Snapshot::to_json`] does.
-fn jf64(v: f64) -> String {
-    crate::json_f64(v)
-}
-
-fn write_map<K: AsRef<str>, V, F: Fn(&V) -> String>(
-    out: &mut String,
-    indent: &str,
-    map: &BTreeMap<K, V>,
-    render: F,
-) {
-    if map.is_empty() {
-        out.push_str("{}");
-        return;
-    }
-    out.push('{');
-    for (i, (k, v)) in map.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(out, "{sep}\n{indent}  {}: {}", jstr(k.as_ref()), render(v));
-    }
-    let _ = write!(out, "\n{indent}}}");
-}
-
-fn render_histogram(h: &Histogram) -> String {
-    let mut s = format!(
-        "{{\"count\": {}, \"sum\": {}, \"buckets\": [",
-        h.count, h.sum
-    );
-    for (j, (bucket, count)) in h.nonzero_buckets().into_iter().enumerate() {
-        let sep = if j == 0 { "" } else { ", " };
-        let _ = write!(s, "{sep}[{bucket}, {count}]");
-    }
-    s.push_str("]}");
-    s
-}
-
-impl MetricDoc {
-    fn write_json(&self, out: &mut String, indent: &str) {
-        let deeper = format!("{indent}  ");
-        out.push('{');
-        let _ = write!(out, "\n{deeper}\"counters\": ");
-        write_map(out, &deeper, &self.counters, u64::to_string);
-        let _ = write!(out, ",\n{deeper}\"events\": ");
-        write_map(out, &deeper, &self.events, u64::to_string);
-        let _ = write!(out, ",\n{deeper}\"gauges\": ");
-        write_map(out, &deeper, &self.gauges, |v| jf64(*v));
-        let _ = write!(out, ",\n{deeper}\"histograms\": ");
-        write_map(out, &deeper, &self.histograms, render_histogram);
-        let _ = write!(out, ",\n{deeper}\"tree\": ");
-        write_map(out, &deeper, &self.tree, |r: &SpanRollup| {
-            format!("{{\"count\": {}, \"total_ns\": {}}}", r.count, r.total_ns)
+impl ToJson for MetricDoc {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj(Block, |w| {
+            w.key("counters").map(Block, &self.counters);
+            w.key("events").map(Block, &self.events);
+            w.key("gauges").map(Block, &self.gauges);
+            w.key("histograms").map(Block, &self.histograms);
+            w.key("tree").map(Block, &self.tree);
         });
-        let _ = write!(out, "\n{indent}}}");
+    }
+}
+
+impl ToJson for ExperimentRun {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj(Block, |w| {
+            w.key("wall_ms").f64(self.wall_ms);
+            w.key("truncated").val(&self.truncated);
+            w.key("metrics").val(&self.metrics);
+        });
+    }
+}
+
+impl FromJson<'_> for MetricDoc {
+    fn from_json(v: &Json) -> Result<Self, FieldError> {
+        Ok(MetricDoc {
+            counters: v.req("counters")?,
+            events: v.req("events")?,
+            gauges: v.req("gauges")?,
+            histograms: v.req("histograms")?,
+            tree: v.req("tree")?,
+        })
+    }
+}
+
+impl FromJson<'_> for ExperimentRun {
+    fn from_json(v: &Json) -> Result<Self, FieldError> {
+        Ok(ExperimentRun {
+            wall_ms: v.req("wall_ms")?,
+            truncated: v.req("truncated")?,
+            metrics: v.req("metrics")?,
+        })
     }
 }
 
@@ -245,164 +229,39 @@ impl RunRecord {
     /// record, same bytes — the property the golden tests and git
     /// diffs of `ledger/` rely on.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        let _ = write!(out, "{{\n  \"ledger_schema\": {LEDGER_SCHEMA},");
-        let _ = write!(out, "\n  \"created_unix_ms\": {},", self.created_unix_ms);
-        let _ = write!(out, "\n  \"git_rev\": {},", jstr(&self.git_rev));
-        let _ = write!(out, "\n  \"label\": {},", jstr(&self.label));
-        out.push_str("\n  \"config\": ");
-        write_map(&mut out, "  ", &self.config, |v: &String| jstr(v));
-        out.push_str(",\n  \"experiments\": ");
-        if self.experiments.is_empty() {
-            out.push_str("{}");
-        } else {
-            out.push('{');
-            for (i, (id, run)) in self.experiments.iter().enumerate() {
-                let sep = if i == 0 { "" } else { "," };
-                let _ = write!(out, "{sep}\n    {}: {{", jstr(id));
-                let _ = write!(out, "\n      \"wall_ms\": {},", jf64(run.wall_ms));
-                let truncated = match &run.truncated {
-                    Some(r) => jstr(r),
-                    None => "null".into(),
-                };
-                let _ = write!(out, "\n      \"truncated\": {truncated},");
-                out.push_str("\n      \"metrics\": ");
-                run.metrics.write_json(&mut out, "      ");
-                out.push_str("\n    }");
-            }
-            out.push_str("\n  }");
-        }
-        out.push_str("\n}\n");
-        out
+        let mut w = Writer::new();
+        w.obj(Block, |w| {
+            w.key("ledger_schema").u64(LEDGER_SCHEMA.into());
+            w.key("created_unix_ms").u64(self.created_unix_ms);
+            w.key("git_rev").str(&self.git_rev);
+            w.key("label").str(&self.label);
+            w.key("config").map(Block, &self.config);
+            w.key("experiments").map(Block, &self.experiments);
+        });
+        w.finish() + "\n"
     }
 
     /// Parses a record previously written by [`RunRecord::to_json`].
     pub fn from_json(input: &str) -> Result<Self, LedgerError> {
         let doc = parse(input).map_err(LedgerError::Json)?;
-        let schema = req_u64(&doc, "ledger_schema")?;
+        let schema: u64 = doc.req("ledger_schema")?;
         if schema > LEDGER_SCHEMA as u64 {
             return Err(LedgerError::SchemaTooNew(schema));
         }
-        let mut record = RunRecord {
-            created_unix_ms: req_u64(&doc, "created_unix_ms")?,
-            git_rev: req_str(&doc, "git_rev")?,
-            label: req_str(&doc, "label")?,
-            ..Default::default()
-        };
-        for (k, v) in req_obj(&doc, "config")? {
-            let s = v
-                .as_str()
-                .ok_or_else(|| shape(&format!("config.{k} is not a string")))?;
-            record.config.insert(k.clone(), s.to_owned());
-        }
-        for (id, run) in req_obj(&doc, "experiments")? {
-            record.experiments.insert(id.clone(), parse_run(id, run)?);
-        }
-        Ok(record)
+        Ok(RunRecord {
+            created_unix_ms: doc.req("created_unix_ms")?,
+            git_rev: doc.req("git_rev")?,
+            label: doc.req("label")?,
+            config: doc.req("config")?,
+            experiments: doc.req("experiments")?,
+        })
     }
 }
 
-fn shape(what: &str) -> LedgerError {
-    LedgerError::Shape(what.to_owned())
-}
-
-fn req<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, LedgerError> {
-    doc.get(key)
-        .ok_or_else(|| shape(&format!("missing `{key}`")))
-}
-
-fn req_u64(doc: &Json, key: &str) -> Result<u64, LedgerError> {
-    req(doc, key)?
-        .as_u64()
-        .ok_or_else(|| shape(&format!("`{key}` is not a u64")))
-}
-
-fn req_f64(doc: &Json, key: &str) -> Result<f64, LedgerError> {
-    req(doc, key)?
-        .as_f64()
-        .ok_or_else(|| shape(&format!("`{key}` is not a number")))
-}
-
-fn req_str(doc: &Json, key: &str) -> Result<String, LedgerError> {
-    Ok(req(doc, key)?
-        .as_str()
-        .ok_or_else(|| shape(&format!("`{key}` is not a string")))?
-        .to_owned())
-}
-
-fn req_obj<'a>(doc: &'a Json, key: &str) -> Result<&'a BTreeMap<String, Json>, LedgerError> {
-    req(doc, key)?
-        .as_obj()
-        .ok_or_else(|| shape(&format!("`{key}` is not an object")))
-}
-
-fn parse_u64_map(doc: &Json, key: &str, ctx: &str) -> Result<BTreeMap<String, u64>, LedgerError> {
-    let mut out = BTreeMap::new();
-    for (k, v) in req_obj(doc, key)? {
-        let n = v
-            .as_u64()
-            .ok_or_else(|| shape(&format!("{ctx}.{key}.{k} is not a u64")))?;
-        out.insert(k.clone(), n);
+impl From<FieldError> for LedgerError {
+    fn from(e: FieldError) -> Self {
+        LedgerError::Shape(e.to_string())
     }
-    Ok(out)
-}
-
-fn parse_run(id: &str, doc: &Json) -> Result<ExperimentRun, LedgerError> {
-    let truncated = match req(doc, "truncated")? {
-        Json::Null => None,
-        Json::Str(s) => Some(s.clone()),
-        _ => return Err(shape(&format!("{id}.truncated is not null or a string"))),
-    };
-    let metrics_doc = req(doc, "metrics")?;
-    let mut metrics = MetricDoc {
-        counters: parse_u64_map(metrics_doc, "counters", id)?,
-        events: parse_u64_map(metrics_doc, "events", id)?,
-        ..Default::default()
-    };
-    for (k, v) in req_obj(metrics_doc, "gauges")? {
-        let n = v
-            .as_f64()
-            .ok_or_else(|| shape(&format!("{id}.gauges.{k} is not a number")))?;
-        metrics.gauges.insert(k.clone(), n);
-    }
-    for (k, v) in req_obj(metrics_doc, "histograms")? {
-        let mut h = Histogram {
-            count: req_u64(v, "count")?,
-            sum: req_u64(v, "sum")?,
-            ..Default::default()
-        };
-        let buckets = req(v, "buckets")?
-            .as_arr()
-            .ok_or_else(|| shape(&format!("{id}.histograms.{k}.buckets is not an array")))?;
-        for pair in buckets {
-            let pair = pair
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| shape(&format!("{id}.histograms.{k}: bad bucket pair")))?;
-            let (idx, count) = (pair[0].as_u64(), pair[1].as_u64());
-            match (idx, count) {
-                (Some(i), Some(c)) if (i as usize) < h.buckets.len() => {
-                    h.buckets[i as usize] = c;
-                }
-                _ => return Err(shape(&format!("{id}.histograms.{k}: bad bucket pair"))),
-            }
-        }
-        metrics.histograms.insert(k.clone(), h);
-    }
-    for (k, v) in req_obj(metrics_doc, "tree")? {
-        metrics.tree.insert(
-            k.clone(),
-            SpanRollup {
-                count: req_u64(v, "count")?,
-                total_ns: req_u64(v, "total_ns")?,
-            },
-        );
-    }
-    Ok(ExperimentRun {
-        wall_ms: req_f64(doc, "wall_ms")?,
-        truncated,
-        metrics,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -528,20 +387,22 @@ impl MetricValue {
         }
     }
 
-    fn render_json(&self) -> String {
-        match self {
-            Self::U64(v) => v.to_string(),
-            Self::F64(v) => jf64(*v),
-            Self::Text(s) => jstr(s),
-        }
-    }
-
     fn as_f64(&self) -> Option<f64> {
         match self {
             Self::U64(v) => Some(*v as f64),
             Self::F64(v) => Some(*v),
             Self::Text(_) => None,
         }
+    }
+}
+
+impl ToJson for MetricValue {
+    fn write_json(&self, w: &mut Writer) {
+        match self {
+            Self::U64(v) => w.u64(*v),
+            Self::F64(v) => w.f64(*v),
+            Self::Text(s) => w.str(s),
+        };
     }
 }
 
@@ -584,6 +445,22 @@ impl DiffEntry {
         let base = self.base.as_ref()?.as_f64()?;
         let current = self.current.as_ref()?.as_f64()?;
         (base > 0.0 && current > 0.0).then(|| current / base)
+    }
+}
+
+impl ToJson for DiffEntry {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj(Inline, |w| {
+            w.key("experiment").str(&self.experiment);
+            w.key("kind").str(self.kind.as_str());
+            w.key("class").str(self.class.as_str());
+            w.key("name").str(&self.name);
+            w.key("base").val(&self.base);
+            w.key("current").val(&self.current);
+            // Non-finite values print as `null`, as undefined ones do.
+            w.key("delta").val(&self.delta());
+            w.key("relative").val(&self.relative());
+        });
     }
 }
 
@@ -691,37 +568,12 @@ impl RecordDiff {
     /// Renders the diff as deterministic JSON (an object with a
     /// `differences` array in table order).
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = write!(
-            out,
-            "  \"compared\": {},\n  \"differences\": [",
-            self.compared
-        );
-        for (i, e) in self.entries.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let side = |v: &Option<MetricValue>| {
-                v.as_ref()
-                    .map_or_else(|| "null".to_owned(), MetricValue::render_json)
-            };
-            let delta = e.delta().map_or_else(|| "null".to_owned(), jf64);
-            let rel = e.relative().map_or_else(|| "null".to_owned(), jf64);
-            let _ = write!(
-                out,
-                "{sep}\n    {{\"experiment\": {}, \"kind\": {}, \"class\": {}, \"name\": {}, \
-                 \"base\": {}, \"current\": {}, \"delta\": {delta}, \"relative\": {rel}}}",
-                jstr(&e.experiment),
-                jstr(e.kind.as_str()),
-                jstr(e.class.as_str()),
-                jstr(&e.name),
-                side(&e.base),
-                side(&e.current),
-            );
-        }
-        if !self.entries.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        let mut w = Writer::new();
+        w.obj(Block, |w| {
+            w.key("compared").u64(self.compared as u64);
+            w.key("differences").list(Block, &self.entries);
+        });
+        w.finish() + "\n"
     }
 }
 
@@ -1162,15 +1014,9 @@ pub fn check(baseline: &RunRecord, current: &RunRecord, policy: &CheckPolicy) ->
 /// are unaffected, and truncated partial snapshots are no longer
 /// silently indistinguishable (or worse, dropped).
 pub fn snapshot_json_tagged(snap: &Snapshot, truncated: Option<&str>) -> String {
-    let json = snap.to_json();
-    match truncated {
-        None => json,
-        Some(reason) => {
-            let schema_prefix = format!("{{\n  \"schema\": {},", crate::SNAPSHOT_SCHEMA);
-            let tagged_prefix = format!("{schema_prefix}\n  \"truncated\": {},", jstr(reason));
-            json.replacen(&schema_prefix, &tagged_prefix, 1)
-        }
-    }
+    let mut w = Writer::new();
+    snap.write_json(&mut w, truncated);
+    w.finish()
 }
 
 /// The inclusive upper bound of the power-of-two bucket holding `v` —

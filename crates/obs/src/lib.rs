@@ -103,7 +103,6 @@ pub use trace::TraceId;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::Instant;
@@ -258,6 +257,69 @@ pub struct SpanNode {
     /// Span duration; `None` while the span is still open (or was
     /// leaked without closing).
     pub dur_ns: Option<u64>,
+}
+
+impl json::FromJson<'_> for SpanStat {
+    fn from_json(v: &json::Json) -> Result<Self, json::FieldError> {
+        Ok(SpanStat {
+            count: v.req("count")?,
+            total_ns: v.req("total_ns")?,
+        })
+    }
+}
+
+impl json::ToJson for SpanStat {
+    fn write_json(&self, w: &mut json::Writer) {
+        w.obj(json::Layout::Inline, |w| {
+            w.key("count").u64(self.count);
+            w.key("total_ns").u64(self.total_ns);
+        });
+    }
+}
+
+impl json::FromJson<'_> for Event {
+    fn from_json(v: &json::Json) -> Result<Self, json::FieldError> {
+        Ok(Event {
+            seq: v.req("seq")?,
+            name: v.req("name")?,
+            detail: v.req("detail")?,
+        })
+    }
+}
+
+impl json::ToJson for Event {
+    fn write_json(&self, w: &mut json::Writer) {
+        w.obj(json::Layout::Inline, |w| {
+            w.key("seq").u64(self.seq);
+            w.key("name").str(&self.name);
+            w.key("detail").str(&self.detail);
+        });
+    }
+}
+
+impl json::FromJson<'_> for SpanNode {
+    fn from_json(v: &json::Json) -> Result<Self, json::FieldError> {
+        Ok(SpanNode {
+            id: v.req("id")?,
+            parent: v.req("parent")?,
+            name: v.req("name")?,
+            tid: v.req("tid")?,
+            start_ns: v.req("start_ns")?,
+            dur_ns: v.opt("dur_ns")?.flatten(),
+        })
+    }
+}
+
+impl json::ToJson for SpanNode {
+    fn write_json(&self, w: &mut json::Writer) {
+        w.obj(json::Layout::Inline, |w| {
+            w.key("id").u64(self.id).key("parent").u64(self.parent);
+            w.key("name").str(&self.name);
+            w.key("tid").u64(self.tid.into());
+            w.key("start_ns").u64(self.start_ns);
+            w.key("dur_ns").val(&self.dur_ns);
+        });
+    }
 }
 
 #[derive(Debug, Default)]
@@ -576,114 +638,41 @@ impl Snapshot {
     /// See `DESIGN.md` ("Metrics snapshot schema") for the full schema
     /// and the bump rule.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        let _ = write!(out, "{{\n  \"schema\": {SNAPSHOT_SCHEMA},");
-        out.push_str("\n  \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    {}: {v}", json_string(k));
-        }
-        if !self.counters.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"gauges\": {");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    {}: {}", json_string(k), json_f64(*v));
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"spans\": {");
-        for (i, (k, v)) in self.spans.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    {}: {{\"count\": {}, \"total_ns\": {}}}",
-                json_string(k),
-                v.count,
-                v.total_ns
-            );
-        }
-        if !self.spans.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"events\": [");
-        for (i, e) in self.events.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    {{\"seq\": {}, \"name\": {}, \"detail\": {}}}",
-                e.seq,
-                json_string(&e.name),
-                json_string(&e.detail)
-            );
-        }
-        if !self.events.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"histograms\": {");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    {}: {{\"count\": {}, \"sum\": {}, \"buckets\": [",
-                json_string(k),
-                h.count,
-                h.sum
-            );
-            for (j, (bucket, count)) in h.nonzero_buckets().into_iter().enumerate() {
-                let sep = if j == 0 { "" } else { ", " };
-                let _ = write!(out, "{sep}[{bucket}, {count}]");
+        let mut w = json::Writer::new();
+        self.write_json(&mut w, None);
+        w.finish()
+    }
+
+    /// Writes the [`Snapshot::to_json`] document into `w`. A `Some`
+    /// `truncated` adds the optional `"truncated": "<reason>"` tag
+    /// right after `"schema"` (the `experiments --metrics` marker for a
+    /// run its guard cut short).
+    pub fn write_json(&self, w: &mut json::Writer, truncated: Option<&str>) {
+        use json::Layout::{Block, Inline};
+        w.obj(Block, |w| {
+            w.key("schema").u64(SNAPSHOT_SCHEMA.into());
+            if let Some(reason) = truncated {
+                w.key("truncated").str(reason);
             }
-            out.push_str("]}");
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"tree\": [");
-        for (i, n) in self.tree.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let dur = match n.dur_ns {
-                Some(d) => d.to_string(),
-                None => "null".into(),
-            };
-            let _ = write!(
-                out,
-                "{sep}\n    {{\"id\": {}, \"parent\": {}, \"name\": {}, \"tid\": {}, \"start_ns\": {}, \"dur_ns\": {dur}}}",
-                n.id,
-                n.parent,
-                json_string(&n.name),
-                n.tid,
-                n.start_ns
-            );
-        }
-        if !self.tree.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"gauge_seq\": {");
-        for (i, (k, v)) in self.gauge_seq.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    {}: {v}", json_string(k));
-        }
-        if !self.gauge_seq.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"exemplars\": {");
-        for (i, (k, buckets)) in self.exemplars.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    {}: [", json_string(k));
-            for (j, (bucket, e)) in buckets.iter().enumerate() {
-                let sep = if j == 0 { "" } else { ", " };
-                let _ = write!(out, "{sep}[{bucket}, {}, {}]", e.trace_id, e.value);
-            }
-            out.push(']');
-        }
-        if !self.exemplars.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}");
-        out
+            w.key("counters").map(Block, &self.counters);
+            w.key("gauges").map(Block, &self.gauges);
+            w.key("spans").map(Block, &self.spans);
+            w.key("events").list(Block, &self.events);
+            w.key("histograms").map(Block, &self.histograms);
+            w.key("tree").list(Block, &self.tree);
+            w.key("gauge_seq").map(Block, &self.gauge_seq);
+            w.key("exemplars").obj(Block, |w| {
+                for (k, buckets) in &self.exemplars {
+                    w.key(k).arr(Inline, |w| {
+                        for (bucket, e) in buckets {
+                            w.arr(Inline, |w| {
+                                w.u64(*bucket as u64).u64(e.trace_id).u64(e.value);
+                            });
+                        }
+                    });
+                }
+            });
+        });
     }
 
     /// Parses a snapshot serialized by [`Snapshot::to_json`] — the
@@ -693,194 +682,51 @@ impl Snapshot {
     /// version lacks default to empty (a schema-2 document simply has
     /// no `gauge_seq`, and the view synthesizes ordinals).
     pub fn from_json(input: &str) -> Result<Snapshot, String> {
-        use crate::json::Json;
-        let doc = json::parse(input).map_err(|e| format!("snapshot: {e}"))?;
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_u64)
-            .ok_or("snapshot: missing or non-integer `schema`")?;
+        Self::read(input).map_err(|e| format!("snapshot: {e}"))
+    }
+
+    fn read(input: &str) -> Result<Snapshot, String> {
+        let doc = json::parse(input).map_err(|e| e.to_string())?;
+        let schema: u64 = doc.req("schema")?;
         if schema == 0 || schema > u64::from(SNAPSHOT_SCHEMA) {
             return Err(format!(
-                "snapshot: unsupported schema {schema} (this build reads <= {SNAPSHOT_SCHEMA})"
+                "unsupported schema {schema} (this build reads <= {SNAPSHOT_SCHEMA})"
             ));
         }
-
-        fn obj_entries<'a>(
-            doc: &'a Json,
-            key: &str,
-        ) -> Result<Vec<(&'a String, &'a Json)>, String> {
-            match doc.get(key) {
-                None => Ok(Vec::new()),
-                Some(v) => Ok(v
-                    .as_obj()
-                    .ok_or_else(|| format!("snapshot: `{key}` is not an object"))?
-                    .iter()
-                    .collect()),
-            }
-        }
-        fn arr_entries<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
-            match doc.get(key) {
-                None => Ok(&[]),
-                Some(v) => v
-                    .as_arr()
-                    .ok_or_else(|| format!("snapshot: `{key}` is not an array")),
-            }
-        }
-        fn field_u64(v: &Json, ctx: &str, key: &str) -> Result<u64, String> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("snapshot: {ctx} missing integer `{key}`"))
-        }
-        fn field_str(v: &Json, ctx: &str, key: &str) -> Result<String, String> {
-            Ok(v.get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("snapshot: {ctx} missing string `{key}`"))?
-                .to_owned())
-        }
-
-        let mut snap = Snapshot::default();
-        for (k, v) in obj_entries(&doc, "counters")? {
-            let n = v
-                .as_u64()
-                .ok_or_else(|| format!("snapshot: counter `{k}` is not a u64"))?;
-            snap.counters.insert(k.clone(), n);
-        }
-        for (k, v) in obj_entries(&doc, "gauges")? {
-            // Non-finite gauge values serialize as `null`.
-            let n = match v {
-                Json::Null => f64::NAN,
-                other => other
-                    .as_f64()
-                    .ok_or_else(|| format!("snapshot: gauge `{k}` is not a number"))?,
-            };
-            snap.gauges.insert(k.clone(), n);
-        }
-        for (k, v) in obj_entries(&doc, "spans")? {
-            snap.spans.insert(
-                k.clone(),
-                SpanStat {
-                    count: field_u64(v, "span", "count")?,
-                    total_ns: field_u64(v, "span", "total_ns")?,
-                },
-            );
-        }
-        for e in arr_entries(&doc, "events")? {
-            snap.events.push(Event {
-                seq: field_u64(e, "event", "seq")?,
-                name: field_str(e, "event", "name")?,
-                detail: field_str(e, "event", "detail")?,
-            });
-        }
-        for (k, v) in obj_entries(&doc, "histograms")? {
-            let mut h = Histogram::new();
-            h.count = field_u64(v, "histogram", "count")?;
-            h.sum = field_u64(v, "histogram", "sum")?;
-            for pair in v
-                .get("buckets")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("snapshot: histogram `{k}` missing `buckets`"))?
-            {
-                let [i, c] = pair.as_arr().unwrap_or(&[]) else {
-                    return Err(format!(
-                        "snapshot: histogram `{k}` bucket is not an [index, count] pair"
-                    ));
-                };
-                let (i, c) = i
-                    .as_u64()
-                    .zip(c.as_u64())
-                    .ok_or_else(|| format!("snapshot: histogram `{k}` bucket is not integers"))?;
-                let slot = h
-                    .buckets
-                    .get_mut(i as usize)
-                    .ok_or_else(|| format!("snapshot: histogram `{k}` bucket index {i} >= 65"))?;
-                *slot = c;
-            }
-            snap.histograms.insert(k.clone(), h);
-        }
-        for n in arr_entries(&doc, "tree")? {
-            snap.tree.push(SpanNode {
-                id: field_u64(n, "tree node", "id")?,
-                parent: field_u64(n, "tree node", "parent")?,
-                name: field_str(n, "tree node", "name")?,
-                tid: u32::try_from(field_u64(n, "tree node", "tid")?)
-                    .map_err(|_| "snapshot: tree node `tid` exceeds u32".to_string())?,
-                start_ns: field_u64(n, "tree node", "start_ns")?,
-                dur_ns: match n.get("dur_ns") {
-                    None | Some(Json::Null) => None,
-                    Some(v) => Some(
-                        v.as_u64()
-                            .ok_or("snapshot: tree node `dur_ns` is not a u64")?,
-                    ),
-                },
-            });
-        }
-        for (k, v) in obj_entries(&doc, "gauge_seq")? {
-            let n = v
-                .as_u64()
-                .ok_or_else(|| format!("snapshot: gauge_seq `{k}` is not a u64"))?;
-            snap.gauge_seq.insert(k.clone(), n);
-        }
-        for (k, v) in obj_entries(&doc, "exemplars")? {
+        // Sections a schema older than the document's own lacks read
+        // as empty; non-finite gauge values serialize as `null`.
+        let gauges: BTreeMap<String, Option<f64>> = doc.opt("gauges")?.unwrap_or_default();
+        let exemplars: BTreeMap<String, Vec<Vec<u64>>> = doc.opt("exemplars")?.unwrap_or_default();
+        let mut snap = Snapshot {
+            counters: doc.opt("counters")?.unwrap_or_default(),
+            gauges: gauges
+                .into_iter()
+                .map(|(k, g)| (k, g.unwrap_or(f64::NAN)))
+                .collect(),
+            spans: doc.opt("spans")?.unwrap_or_default(),
+            histograms: doc.opt("histograms")?.unwrap_or_default(),
+            events: doc.opt("events")?.unwrap_or_default(),
+            tree: doc.opt("tree")?.unwrap_or_default(),
+            gauge_seq: doc.opt("gauge_seq")?.unwrap_or_default(),
+            exemplars: BTreeMap::new(),
+        };
+        for (k, triples) in exemplars {
             let mut buckets = BTreeMap::new();
-            for triple in v
-                .as_arr()
-                .ok_or_else(|| format!("snapshot: exemplars `{k}` is not an array"))?
-            {
-                let [b, t, val] = triple.as_arr().unwrap_or(&[]) else {
-                    return Err(format!(
-                        "snapshot: exemplars `{k}` entry is not a [bucket, trace_id, value] triple"
-                    ));
-                };
-                let (b, t, val) = match (b.as_u64(), t.as_u64(), val.as_u64()) {
-                    (Some(b), Some(t), Some(val)) => (b, t, val),
-                    _ => return Err(format!("snapshot: exemplars `{k}` entry is not integers")),
-                };
-                if b as usize >= hist::N_BUCKETS {
-                    return Err(format!("snapshot: exemplars `{k}` bucket index {b} >= 65"));
+            for (i, triple) in triples.iter().enumerate() {
+                match triple[..] {
+                    [b, trace_id, value] if b < hist::N_BUCKETS as u64 => {
+                        buckets.insert(b as usize, Exemplar { trace_id, value });
+                    }
+                    _ => {
+                        return Err(format!(
+                            "`exemplars.{k}[{i}]` is not a [bucket < 65, trace_id, value] triple"
+                        ))
+                    }
                 }
-                buckets.insert(
-                    b as usize,
-                    Exemplar {
-                        trace_id: t,
-                        value: val,
-                    },
-                );
             }
-            snap.exemplars.insert(k.clone(), buckets);
+            snap.exemplars.insert(k, buckets);
         }
         Ok(snap)
-    }
-}
-
-/// Escapes `s` as a JSON string literal (quotes included).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats an `f64` as a JSON value (`null` for non-finite values).
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // `{:?}` keeps enough digits to round-trip and always includes
-        // a decimal point or exponent, which every JSON parser accepts.
-        format!("{v:?}")
-    } else {
-        "null".into()
     }
 }
 

@@ -49,8 +49,12 @@
 //! args (the "linked slice" form Perfetto surfaces next to exemplars).
 
 use crate::heap::HeapSize;
-use crate::json::{self, Json};
-use crate::{json_string, Obs};
+use crate::json::{
+    self, Json,
+    Layout::{Block, Inline},
+    ToJson, Writer,
+};
+use crate::Obs;
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
@@ -632,200 +636,143 @@ fn remove_at(ring: &mut VecDeque<Retained>, pos: usize) -> Retained {
 // Trace-file serialization
 // ---------------------------------------------------------------------------
 
-fn write_event(out: &mut String, ev: &TraceEvent) {
-    let _ = write!(
-        out,
-        "{{\"at_ns\": {}, \"kind\": \"{}\"",
-        ev.at_ns,
-        ev.kind.label()
-    );
-    match &ev.kind {
-        TraceEventKind::Admitted { depth } => {
-            let _ = write!(out, ", \"depth\": {depth}");
-        }
-        TraceEventKind::Shed { reason } => {
-            let _ = write!(out, ", \"reason\": {}", json_string(reason));
-        }
-        TraceEventKind::Dequeued { worker, wait_ns } => {
-            let _ = write!(out, ", \"worker\": {worker}, \"wait_ns\": {wait_ns}");
-        }
-        TraceEventKind::GuardTrip { reason } => {
-            let _ = write!(out, ", \"reason\": {}", json_string(reason));
-        }
-        TraceEventKind::Degraded { tier } => {
-            let _ = write!(out, ", \"tier\": {}", json_string(tier));
-        }
-        TraceEventKind::RefreshRace {
-            submitted_gen,
-            served_gen,
-        } => {
-            let _ = write!(
-                out,
-                ", \"submitted_gen\": {submitted_gen}, \"served_gen\": {served_gen}"
-            );
-        }
-        TraceEventKind::Finished { outcome } => {
-            let _ = write!(out, ", \"outcome\": {}", json_string(outcome));
-        }
-        TraceEventKind::Submitted | TraceEventKind::PanicRecovered => {}
+impl ToJson for TraceEvent {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj(Inline, |w| {
+            w.key("at_ns").u64(self.at_ns);
+            w.key("kind").str(self.kind.label());
+            match &self.kind {
+                TraceEventKind::Admitted { depth } => {
+                    w.key("depth").u64(*depth);
+                }
+                TraceEventKind::Shed { reason } | TraceEventKind::GuardTrip { reason } => {
+                    w.key("reason").str(reason);
+                }
+                TraceEventKind::Dequeued { worker, wait_ns } => {
+                    w.key("worker").u64((*worker).into());
+                    w.key("wait_ns").u64(*wait_ns);
+                }
+                TraceEventKind::Degraded { tier } => {
+                    w.key("tier").str(tier);
+                }
+                TraceEventKind::RefreshRace {
+                    submitted_gen,
+                    served_gen,
+                } => {
+                    w.key("submitted_gen").u64(*submitted_gen);
+                    w.key("served_gen").u64(*served_gen);
+                }
+                TraceEventKind::Finished { outcome } => {
+                    w.key("outcome").str(outcome);
+                }
+                TraceEventKind::Submitted | TraceEventKind::PanicRecovered => {}
+            }
+        });
     }
-    out.push('}');
+}
+
+impl ToJson for RequestTrace {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj(Inline, |w| {
+            w.key("id").str(&self.id.to_string());
+            w.key("seq").u64(self.seq);
+            w.key("endpoint").str(&self.endpoint);
+            w.key("queue_ns").u64(self.queue_ns);
+            w.key("exec_ns").u64(self.exec_ns);
+            w.key("total_ns").u64(self.total_ns);
+            w.key("pinned").list(Inline, &self.pinned);
+            w.key("events").list(Inline, &self.events);
+        });
+    }
 }
 
 /// Serializes traces as the versioned trace-file document: stable key
 /// order, ids as 16-hex-digit strings, events in emission order.
 pub fn traces_to_json(traces: &[RequestTrace]) -> String {
-    let mut out = String::with_capacity(256);
-    let _ = write!(out, "{{\n  \"schema\": {TRACE_SCHEMA},\n  \"traces\": [");
-    for (i, t) in traces.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            out,
-            "{sep}\n    {{\"id\": \"{}\", \"seq\": {}, \"endpoint\": {}, \"queue_ns\": {}, \"exec_ns\": {}, \"total_ns\": {}, \"pinned\": [",
-            t.id,
-            t.seq,
-            json_string(&t.endpoint),
-            t.queue_ns,
-            t.exec_ns,
-            t.total_ns,
-        );
-        for (j, p) in t.pinned.iter().enumerate() {
-            let sep = if j == 0 { "" } else { ", " };
-            let _ = write!(out, "{sep}{}", json_string(p));
-        }
-        out.push_str("], \"events\": [");
-        for (j, ev) in t.events.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            write_event(&mut out, ev);
-        }
-        out.push_str("]}");
-    }
-    if !traces.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}");
-    out
+    let mut w = Writer::new();
+    w.obj(Block, |w| {
+        w.key("schema").u64(TRACE_SCHEMA.into());
+        w.key("traces").list(Block, traces);
+    });
+    w.finish()
 }
 
 fn parse_event(v: &Json) -> Result<TraceEvent, String> {
-    let at_ns = v
-        .get("at_ns")
-        .and_then(Json::as_u64)
-        .ok_or("trace: event missing integer `at_ns`")?;
-    let kind = v
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("trace: event missing string `kind`")?;
-    let str_field = |key: &str| -> Result<Cow<'static, str>, String> {
-        Ok(v.get(key)
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("trace: `{kind}` event missing string `{key}`"))?
-            .to_owned()
-            .into())
-    };
-    let u64_field = |key: &str| -> Result<u64, String> {
-        v.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("trace: `{kind}` event missing integer `{key}`"))
-    };
+    let kind: &str = v.req("kind")?;
+    let text = |key: &str| v.req::<String>(key).map(Cow::Owned);
     let kind = match kind {
         "submitted" => TraceEventKind::Submitted,
         "admitted" => TraceEventKind::Admitted {
-            depth: u64_field("depth")?,
+            depth: v.req("depth")?,
         },
         "shed" => TraceEventKind::Shed {
-            reason: str_field("reason")?,
+            reason: text("reason")?,
         },
         "dequeued" => TraceEventKind::Dequeued {
-            worker: u32::try_from(u64_field("worker")?)
-                .map_err(|_| "trace: `dequeued` worker exceeds u32".to_string())?,
-            wait_ns: u64_field("wait_ns")?,
+            worker: v.req("worker")?,
+            wait_ns: v.req("wait_ns")?,
         },
         "guard_trip" => TraceEventKind::GuardTrip {
-            reason: str_field("reason")?,
+            reason: text("reason")?,
         },
         "degraded" => TraceEventKind::Degraded {
-            tier: str_field("tier")?,
+            tier: text("tier")?,
         },
         "panic_recovered" => TraceEventKind::PanicRecovered,
         "refresh_race" => TraceEventKind::RefreshRace {
-            submitted_gen: u64_field("submitted_gen")?,
-            served_gen: u64_field("served_gen")?,
+            submitted_gen: v.req("submitted_gen")?,
+            served_gen: v.req("served_gen")?,
         },
         "finished" => TraceEventKind::Finished {
-            outcome: str_field("outcome")?,
+            outcome: text("outcome")?,
         },
-        other => return Err(format!("trace: unknown event kind `{other}`")),
+        other => return Err(format!("unknown event kind `{other}`")),
     };
-    Ok(TraceEvent { at_ns, kind })
+    Ok(TraceEvent {
+        at_ns: v.req("at_ns")?,
+        kind,
+    })
+}
+
+fn parse_trace(t: &Json) -> Result<RequestTrace, String> {
+    let id = TraceId::from_hex(t.req("id")?).ok_or("`id` is not a 16-hex-digit trace id")?;
+    Ok(RequestTrace {
+        id,
+        seq: t.req("seq")?,
+        endpoint: Cow::Owned(t.req("endpoint")?),
+        events: t
+            .req::<&[Json]>("events")?
+            .iter()
+            .map(parse_event)
+            .collect::<Result<_, _>>()?,
+        queue_ns: t.req("queue_ns")?,
+        exec_ns: t.req("exec_ns")?,
+        total_ns: t.req("total_ns")?,
+        // Optional: anything but an array reads as no pins.
+        pinned: match t.get("pinned") {
+            Some(p @ Json::Arr(_)) => p.to("pinned")?,
+            _ => Vec::new(),
+        },
+    })
 }
 
 /// Parses a trace-file document produced by [`traces_to_json`]. Any
 /// schema up to [`TRACE_SCHEMA`] is accepted.
 pub fn traces_from_json(input: &str) -> Result<Vec<RequestTrace>, String> {
-    let doc = json::parse(input).map_err(|e| format!("trace: {e}"))?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_u64)
-        .ok_or("trace: missing or non-integer `schema`")?;
-    if schema == 0 || schema > u64::from(TRACE_SCHEMA) {
-        return Err(format!(
-            "trace: unsupported schema {schema} (this build reads <= {TRACE_SCHEMA})"
-        ));
-    }
-    let mut out = Vec::new();
-    for t in doc
-        .get("traces")
-        .and_then(Json::as_arr)
-        .ok_or("trace: missing `traces` array")?
-    {
-        let id = t
-            .get("id")
-            .and_then(Json::as_str)
-            .and_then(TraceId::from_hex)
-            .ok_or("trace: missing or malformed `id`")?;
-        let u64_field = |key: &str| -> Result<u64, String> {
-            t.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("trace: entry missing integer `{key}`"))
-        };
-        let mut events = Vec::new();
-        for ev in t
-            .get("events")
-            .and_then(Json::as_arr)
-            .ok_or("trace: entry missing `events` array")?
-        {
-            events.push(parse_event(ev)?);
+    let read = || -> Result<Vec<RequestTrace>, String> {
+        let doc = json::parse(input).map_err(|e| e.to_string())?;
+        let schema: u64 = doc.req("schema")?;
+        if schema == 0 || schema > u64::from(TRACE_SCHEMA) {
+            return Err(format!(
+                "unsupported schema {schema} (this build reads <= {TRACE_SCHEMA})"
+            ));
         }
-        let mut pinned = Vec::new();
-        if let Some(arr) = t.get("pinned").and_then(Json::as_arr) {
-            for p in arr {
-                pinned.push(
-                    p.as_str()
-                        .ok_or("trace: `pinned` entry is not a string")?
-                        .to_owned(),
-                );
-            }
-        }
-        out.push(RequestTrace {
-            id,
-            seq: u64_field("seq")?,
-            endpoint: t
-                .get("endpoint")
-                .and_then(Json::as_str)
-                .ok_or("trace: entry missing string `endpoint`")?
-                .to_owned()
-                .into(),
-            events,
-            queue_ns: u64_field("queue_ns")?,
-            exec_ns: u64_field("exec_ns")?,
-            total_ns: u64_field("total_ns")?,
-            pinned,
-        });
-    }
-    Ok(out)
+        doc.req::<&[Json]>("traces")?
+            .iter()
+            .map(parse_trace)
+            .collect()
+    };
+    read().map_err(|e| format!("trace: {e}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -939,49 +886,47 @@ pub fn render_show(t: &RequestTrace) -> String {
 /// is the "linked slice" form Perfetto can join against histogram
 /// exemplars.
 pub fn chrome_trace_request(t: &RequestTrace) -> String {
-    let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [");
-    let mut first = true;
     let id = t.id.to_string();
-    let emit = |line: String, out: &mut String, first: &mut bool| {
-        let sep = if *first { "" } else { "," };
-        *first = false;
-        let _ = write!(out, "{sep}\n  {line}");
-    };
-    let slice = |name: &str, ph: char, ts_ns: u64| {
-        format!(
-            "{{\"name\": \"{name}\", \"cat\": \"trace\", \"ph\": \"{ph}\", \"ts\": {:.3}, \"pid\": 1, \"tid\": 1, \"args\": {{\"trace_id\": \"{id}\"}}}}",
-            ts_ns as f64 / 1e3
-        )
-    };
     let request = format!("request {}", t.endpoint);
-    emit(slice(&request, 'B', 0), &mut out, &mut first);
-    if t.queue_ns > 0 || t.exec_ns > 0 {
-        emit(slice("queue", 'B', 0), &mut out, &mut first);
-        emit(slice("queue", 'E', t.queue_ns), &mut out, &mut first);
-        emit(slice("exec", 'B', t.queue_ns), &mut out, &mut first);
-        emit(
-            slice("exec", 'E', t.queue_ns + t.exec_ns),
-            &mut out,
-            &mut first,
-        );
-    }
-    for ev in &t.events {
-        let ts = ev.at_ns.min(t.total_ns);
-        emit(
-            format!(
-                "{{\"name\": \"{}\", \"cat\": \"trace\", \"ph\": \"i\", \"ts\": {:.3}, \"pid\": 1, \"tid\": 1, \"s\": \"t\", \"args\": {{\"trace_id\": \"{id}\", \"detail\": {}}}}}",
-                ev.kind.label(),
-                ts as f64 / 1e3,
-                json_string(&event_detail(&ev.kind))
-            ),
-            &mut out,
-            &mut first,
-        );
-    }
-    emit(slice(&request, 'E', t.total_ns), &mut out, &mut first);
-    out.push('\n');
-    out.push_str("]}");
-    out
+    // One trace event; instants (those with a `detail`) are
+    // thread-scoped (`"s": "t"`).
+    let event = |w: &mut Writer, name: &str, ph: &str, ts_ns: u64, detail: Option<&str>| {
+        w.obj(Inline, |w| {
+            w.key("name").str(name);
+            w.key("cat").str("trace").key("ph").str(ph);
+            w.key("ts").f64_fixed(ts_ns as f64 / 1e3, 3);
+            w.key("pid").u64(1).key("tid").u64(1);
+            if detail.is_some() {
+                w.key("s").str("t");
+            }
+            w.key("args").obj(Inline, |w| {
+                w.key("trace_id").str(&id);
+                if let Some(detail) = detail {
+                    w.key("detail").str(detail);
+                }
+            });
+        });
+    };
+    let mut w = Writer::new();
+    w.obj(Inline, |w| {
+        w.key("displayTimeUnit").str("ms");
+        w.key("traceEvents").arr(Block, |w| {
+            event(w, &request, "B", 0, None);
+            if t.queue_ns > 0 || t.exec_ns > 0 {
+                event(w, "queue", "B", 0, None);
+                event(w, "queue", "E", t.queue_ns, None);
+                event(w, "exec", "B", t.queue_ns, None);
+                event(w, "exec", "E", t.queue_ns + t.exec_ns, None);
+            }
+            for ev in &t.events {
+                let detail = event_detail(&ev.kind);
+                let ts = ev.at_ns.min(t.total_ns);
+                event(w, ev.kind.label(), "i", ts, Some(&detail));
+            }
+            event(w, &request, "E", t.total_ns, None);
+        });
+    });
+    w.finish()
 }
 
 #[cfg(test)]

@@ -214,10 +214,7 @@ impl RuleSet {
     /// Parses a rule file (see the module docs for the schema).
     pub fn from_json(input: &str) -> Result<RuleSet, String> {
         let doc = json::parse(input).map_err(|e| format!("rule file: {e}"))?;
-        let rules = doc
-            .get("rules")
-            .and_then(Json::as_arr)
-            .ok_or("rule file: missing top-level \"rules\" array")?;
+        let rules: &[Json] = doc.req("rules").map_err(|e| format!("rule file: {e}"))?;
         let mut out = Vec::with_capacity(rules.len());
         for (i, r) in rules.iter().enumerate() {
             out.push(parse_rule(r).map_err(|e| format!("rule #{}: {e}", i + 1))?);
@@ -226,36 +223,17 @@ impl RuleSet {
     }
 }
 
-fn need_f64(obj: &Json, key: &str) -> Result<f64, String> {
-    obj.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing numeric \"{key}\""))
-}
-
-fn need_u64(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing integer \"{key}\""))
-}
-
-fn need_str(obj: &Json, key: &str) -> Result<String, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("missing string \"{key}\""))
-}
-
 fn parse_detector(obj: &Json) -> Result<DetectorSpec, String> {
     if let Some(ph) = obj.get("page_hinkley") {
         return Ok(DetectorSpec::PageHinkley {
-            delta: need_f64(ph, "delta")?,
-            lambda: need_f64(ph, "lambda")?,
+            delta: ph.req("delta")?,
+            lambda: ph.req("lambda")?,
         });
     }
     if let Some(cs) = obj.get("cusum") {
         return Ok(DetectorSpec::Cusum {
-            k: need_f64(cs, "k")?,
-            h: need_f64(cs, "h")?,
+            k: cs.req("k")?,
+            h: cs.req("h")?,
             warmup: cs
                 .get("warmup")
                 .and_then(Json::as_u64)
@@ -266,55 +244,48 @@ fn parse_detector(obj: &Json) -> Result<DetectorSpec, String> {
 }
 
 fn parse_rule(r: &Json) -> Result<SloRule, String> {
-    let name = need_str(r, "name")?;
+    let name: String = r.req("name")?;
     if name.is_empty() {
         return Err("empty rule name".into());
     }
     let mut conditions = Vec::new();
     if let Some(c) = r.get("quantile_above") {
-        let q = need_f64(c, "q")?;
+        let q: f64 = c.req("q")?;
         if !(0.0..=1.0).contains(&q) {
             return Err(format!("q {q} not in [0, 1]"));
         }
         conditions.push(Condition::QuantileAbove {
-            metric: need_str(c, "metric")?,
+            metric: c.req("metric")?,
             q,
-            max: need_f64(c, "max")?,
+            max: c.req("max")?,
         });
     }
     if let Some(c) = r.get("ratio_above") {
-        let denominators = c
-            .get("denominators")
-            .and_then(Json::as_arr)
-            .ok_or("ratio_above needs a \"denominators\" array")?
-            .iter()
-            .map(|d| d.as_str().map(str::to_owned))
-            .collect::<Option<Vec<_>>>()
-            .ok_or("denominators must be strings")?;
+        let denominators: Vec<String> = c.req("denominators")?;
         if denominators.is_empty() {
             return Err("ratio_above needs at least one denominator".into());
         }
         conditions.push(Condition::RatioAbove {
-            numerator: need_str(c, "numerator")?,
+            numerator: c.req("numerator")?,
             denominators,
-            max: need_f64(c, "max")?,
+            max: c.req("max")?,
         });
     }
     if let Some(c) = r.get("stale_for") {
         conditions.push(Condition::StaleFor {
-            metric: need_str(c, "metric")?,
-            max_age_ms: need_u64(c, "max_age_ms")?,
+            metric: c.req("metric")?,
+            max_age_ms: c.req("max_age_ms")?,
         });
     }
     if let Some(c) = r.get("gauge_above") {
         conditions.push(Condition::GaugeAbove {
-            metric: need_str(c, "metric")?,
-            max: need_f64(c, "max")?,
+            metric: c.req("metric")?,
+            max: c.req("max")?,
         });
     }
     if let Some(c) = r.get("drift") {
         conditions.push(Condition::Drift {
-            metric: need_str(c, "metric")?,
+            metric: c.req("metric")?,
             detector: parse_detector(c)?,
             hold_ms: c.get("hold_ms").and_then(Json::as_u64),
         });

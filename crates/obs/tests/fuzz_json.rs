@@ -8,11 +8,24 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use dm_obs::json::parse;
+use dm_obs::json::{parse, Writer};
 use proptest::prelude::*;
 
 /// Characters weighted toward JSON's tricky corners: structure, string
 /// escapes, unicode escapes, number edges, and the literal keywords.
+/// A code point weighted toward what a string writer must escape:
+/// control characters, quotes and backslashes, ASCII, then any scalar
+/// value (surrogates fall back to U+FFFD).
+fn pick_char(class: u32, raw: u32) -> char {
+    let code = match class {
+        0 => raw % 0x20,
+        1 => [0x22, 0x5c, 0x2f, 0x7f][raw as usize % 4],
+        2 => raw % 0x80,
+        _ => raw % 0x11_0000,
+    };
+    char::from_u32(code).unwrap_or('\u{fffd}')
+}
+
 const JSONISH: &[char] = &[
     '{', '}', '[', ']', ':', ',', '"', '\\', 'u', 'n', 't', 'f', 'a', 'l', 's', 'e', 'r', '0', '1',
     '9', '-', '+', '.', 'E', ' ', '\n', '\t', 'x', '\u{7f}', 'é',
@@ -63,4 +76,35 @@ proptest! {
         let value = parse(&doc).expect("shortest-round-trip float parses");
         prop_assert_eq!(value.as_f64(), Some(n));
     }
+
+    #[test]
+    fn writer_strings_round_trip(picks in prop::collection::vec((0u32..4, 0u32..0x11_0000), 0..64)) {
+        let s: String = picks.iter().map(|&(class, raw)| pick_char(class, raw)).collect();
+        let mut w = Writer::new();
+        w.str(&s);
+        let back = parse(&w.finish()).expect("a written string parses");
+        prop_assert_eq!(back.as_str(), Some(s.as_str()));
+    }
+
+    #[test]
+    fn writer_finite_floats_round_trip_bit_exact(bits in 0u64..=u64::MAX) {
+        let n = f64::from_bits(bits);
+        prop_assume!(n.is_finite());
+        // Both spellings the writer offers must read back to the same bits.
+        let mut w = Writer::new();
+        w.arr(dm_obs::json::Layout::Inline, |w| {
+            w.f64(n).f64_plain(n);
+        });
+        let back: Vec<f64> = parse(&w.finish()).unwrap().to("floats").unwrap();
+        prop_assert_eq!(back.len(), 2);
+        prop_assert_eq!(back[0].to_bits(), bits);
+        prop_assert_eq!(back[1].to_bits(), bits);
+    }
+}
+
+#[test]
+fn writer_u64_max_round_trips_exactly() {
+    let mut w = Writer::new();
+    w.u64(u64::MAX);
+    assert_eq!(parse(&w.finish()).unwrap().as_u64(), Some(u64::MAX));
 }

@@ -24,10 +24,13 @@ use dm_core::assoc::Rule;
 use dm_core::cluster::KMeansModel;
 use dm_core::dataset::Matrix;
 use dm_core::knn::Knn;
-use dm_core::obs::json::{parse, Json};
+use dm_core::obs::json::{
+    parse, FieldError, Json,
+    Layout::{Block, Inline},
+    Writer,
+};
 use dm_core::tree::{DecisionTree, Node, SplitKind};
 use std::fmt;
-use std::fmt::Write as _;
 
 /// Version of the artifact bundle schema. Bump on any key change and
 /// document it in DESIGN.md ("Serving").
@@ -65,189 +68,107 @@ impl std::error::Error for ArtifactError {}
 
 /// Serializes the bundle's artifact-serializable parts to JSON.
 pub fn save_artifacts(models: &ModelSet) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"artifact_schema\": {ARTIFACT_SCHEMA},");
-    let _ = write!(out, "  \"schema\": [");
-    for (i, name) in models.schema().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+    let mut w = Writer::new();
+    w.obj(Block, |w| {
+        w.key("artifact_schema").u64(ARTIFACT_SCHEMA.into());
+        w.key("schema").list(Inline, models.schema());
+        w.key("default_class").u64(models.default_class().into());
+        if let Some(kmeans) = models.kmeans() {
+            w.key("kmeans").obj(Inline, |w| {
+                matrix(w.key("centroids"), &kmeans.centroids);
+            });
         }
-        let _ = write!(out, "{}", jstr(name));
-    }
-    out.push_str("],\n");
-    let _ = writeln!(out, "  \"default_class\": {},", models.default_class());
-    if let Some(kmeans) = models.kmeans() {
-        let _ = writeln!(
-            out,
-            "  \"kmeans\": {{\"centroids\": {}}},",
-            matrix_json(&kmeans.centroids)
-        );
-    }
-    if let Some(knn) = models.knn() {
-        let _ = writeln!(
-            out,
-            "  \"knn\": {{\"k\": {}, \"train\": {}, \"labels\": {}}},",
-            knn.k(),
-            matrix_json(knn.train()),
-            ints_json(knn.labels())
-        );
-    }
-    if let Some(tree) = models.tree() {
-        let _ = writeln!(out, "  \"tree\": {},", tree_json(tree));
-    }
-    out.push_str("  \"rules\": [");
-    for (i, rule) in models.rules().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+        if let Some(knn) = models.knn() {
+            w.key("knn").obj(Inline, |w| {
+                w.key("k").u64(knn.k() as u64);
+                matrix(w.key("train"), knn.train());
+                w.key("labels").list(Inline, knn.labels());
+            });
         }
-        let _ = write!(
-            out,
-            "{{\"antecedent\": {}, \"consequent\": {}, \"support\": {}, \"confidence\": {}, \"lift\": {}}}",
-            ints_json(&rule.antecedent),
-            ints_json(&rule.consequent),
-            rule.support,
-            rule.confidence,
-            rule.lift
-        );
-    }
-    out.push_str("],\n");
-    out.push_str("  \"singletons\": [");
-    for (i, rec) in models.top_singletons().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+        if let Some(tree) = models.tree() {
+            tree_json(w.key("tree"), tree);
         }
-        let _ = write!(out, "[{}, {}]", rec.item, rec.score as u64);
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+        w.key("rules").arr(Inline, |w| {
+            for rule in models.rules() {
+                w.obj(Inline, |w| {
+                    w.key("antecedent").list(Inline, &rule.antecedent);
+                    w.key("consequent").list(Inline, &rule.consequent);
+                    w.key("support").f64_plain(rule.support);
+                    w.key("confidence").f64_plain(rule.confidence);
+                    w.key("lift").f64_plain(rule.lift);
+                });
             }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn matrix_json(m: &Matrix) -> String {
-    let mut out = String::from("[");
-    for r in 0..m.rows() {
-        if r > 0 {
-            out.push_str(", ");
-        }
-        out.push('[');
-        for (c, v) in m.row(r).iter().enumerate() {
-            if c > 0 {
-                out.push_str(", ");
+        });
+        w.key("singletons").arr(Inline, |w| {
+            for rec in models.top_singletons() {
+                w.arr(Inline, |w| {
+                    w.u64(rec.item.into()).u64(rec.score as u64);
+                });
             }
-            let _ = write!(out, "{v}");
-        }
-        out.push(']');
-    }
-    out.push(']');
-    out
+        });
+    });
+    w.finish() + "\n"
 }
 
-fn ints_json(values: &[u32]) -> String {
-    let mut out = String::from("[");
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+fn matrix(w: &mut Writer, m: &Matrix) {
+    w.arr(Inline, |w| {
+        for r in 0..m.rows() {
+            w.arr(Inline, |w| {
+                for &v in m.row(r) {
+                    w.f64_plain(v);
+                }
+            });
         }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-    out
+    });
 }
 
-fn counts_json(values: &[usize]) -> String {
-    let mut out = String::from("[");
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-    out
-}
-
-fn tree_json(tree: &DecisionTree) -> String {
-    let mut out = String::from("{");
-    let _ = write!(
-        out,
-        "\"root\": {}, \"n_classes\": {}, \"attr_names\": [",
-        tree.root_id(),
-        tree.n_classes()
-    );
-    for (i, name) in tree.attr_names().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{}", jstr(name));
-    }
-    out.push_str("], \"nodes\": [");
-    for (i, node) in tree.nodes().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        match node {
-            Node::Leaf { class, counts } => {
-                let _ = write!(
-                    out,
-                    "{{\"leaf\": {{\"class\": {class}, \"counts\": {}}}}}",
-                    counts_json(counts)
-                );
-            }
-            Node::Split {
-                attr,
-                spec,
-                children,
-                default_child,
-                majority,
-                counts,
-            } => {
-                let spec_json = match spec {
-                    SplitKind::NumericThreshold { threshold } => {
-                        format!("{{\"kind\": \"num\", \"threshold\": {threshold}}}")
+fn tree_json(w: &mut Writer, tree: &DecisionTree) {
+    w.obj(Inline, |w| {
+        w.key("root").u64(tree.root_id() as u64);
+        w.key("n_classes").u64(tree.n_classes() as u64);
+        w.key("attr_names").list(Inline, tree.attr_names());
+        w.key("nodes").arr(Inline, |w| {
+            for node in tree.nodes() {
+                w.obj(Inline, |w| match node {
+                    Node::Leaf { class, counts } => {
+                        w.key("leaf").obj(Inline, |w| {
+                            w.key("class").val(class);
+                            w.key("counts").list(Inline, counts);
+                        });
                     }
-                    SplitKind::CategoricalMultiway { categories } => {
-                        format!(
-                            "{{\"kind\": \"multi\", \"categories\": {}}}",
-                            ints_json(categories)
-                        )
+                    Node::Split {
+                        attr,
+                        spec,
+                        children,
+                        default_child,
+                        majority,
+                        counts,
+                    } => {
+                        w.key("split").obj(Inline, |w| {
+                            w.key("attr").val(attr);
+                            w.key("spec").obj(Inline, |w| match spec {
+                                SplitKind::NumericThreshold { threshold } => {
+                                    w.key("kind").str("num");
+                                    w.key("threshold").f64_plain(*threshold);
+                                }
+                                SplitKind::CategoricalMultiway { categories } => {
+                                    w.key("kind").str("multi");
+                                    w.key("categories").list(Inline, categories);
+                                }
+                                SplitKind::CategoricalEquals { category } => {
+                                    w.key("kind").str("eq").key("category").val(category);
+                                }
+                            });
+                            w.key("children").list(Inline, children);
+                            w.key("default_child").val(default_child);
+                            w.key("majority").val(majority);
+                            w.key("counts").list(Inline, counts);
+                        });
                     }
-                    SplitKind::CategoricalEquals { category } => {
-                        format!("{{\"kind\": \"eq\", \"category\": {category}}}")
-                    }
-                };
-                let _ = write!(
-                    out,
-                    "{{\"split\": {{\"attr\": {attr}, \"spec\": {spec_json}, \
-                     \"children\": {}, \"default_child\": {default_child}, \
-                     \"majority\": {majority}, \"counts\": {}}}}}",
-                    counts_json(children),
-                    counts_json(counts)
-                );
+                });
             }
-        }
-    }
-    out.push_str("]}");
-    out
+        });
+    });
 }
 
 // -- load -------------------------------------------------------------
@@ -258,73 +179,15 @@ fn shape<T>(msg: impl Into<String>) -> Load<T> {
     Err(ArtifactError::Shape(msg.into()))
 }
 
-fn get_u64(doc: &Json, key: &str) -> Load<u64> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .map_or_else(|| shape(format!("missing or non-integer `{key}`")), Ok)
-}
-
-fn get_f64(doc: &Json, key: &str) -> Load<f64> {
-    let v = doc
-        .get(key)
-        .and_then(Json::as_f64)
-        .map_or_else(|| shape(format!("missing or non-number `{key}`")), Ok)?;
-    if !v.is_finite() {
-        return shape(format!("`{key}` is not finite"));
+impl From<FieldError> for ArtifactError {
+    fn from(e: FieldError) -> Self {
+        ArtifactError::Shape(e.to_string())
     }
-    Ok(v)
 }
 
-fn get_arr<'a>(doc: &'a Json, key: &str) -> Load<&'a [Json]> {
-    doc.get(key)
-        .and_then(Json::as_arr)
-        .map_or_else(|| shape(format!("missing or non-array `{key}`")), Ok)
-}
-
-fn floats(arr: &[Json], what: &str) -> Load<Vec<f64>> {
-    arr.iter()
-        .map(|v| {
-            let f = v
-                .as_f64()
-                .map_or_else(|| shape(format!("non-number in {what}")), Ok)?;
-            if !f.is_finite() {
-                return shape(format!("non-finite number in {what}"));
-            }
-            Ok(f)
-        })
-        .collect()
-}
-
-fn u32s(arr: &[Json], what: &str) -> Load<Vec<u32>> {
-    arr.iter()
-        .map(|v| {
-            v.as_u64()
-                .and_then(|x| u32::try_from(x).ok())
-                .map_or_else(|| shape(format!("non-u32 in {what}")), Ok)
-        })
-        .collect()
-}
-
-fn usizes(arr: &[Json], what: &str) -> Load<Vec<usize>> {
-    arr.iter()
-        .map(|v| {
-            v.as_u64()
-                .and_then(|x| usize::try_from(x).ok())
-                .map_or_else(|| shape(format!("non-integer in {what}")), Ok)
-        })
-        .collect()
-}
-
-fn load_matrix(doc: &Json, key: &str, what: &str) -> Load<Matrix> {
-    let rows_json = get_arr(doc, key)?;
-    let mut rows = Vec::with_capacity(rows_json.len());
-    for row in rows_json {
-        let row = row
-            .as_arr()
-            .map_or_else(|| shape(format!("non-array row in {what}")), Ok)?;
-        rows.push(floats(row, what)?);
-    }
-    Matrix::from_rows(&rows).map_err(|e| ArtifactError::Shape(format!("{what}: {e}")))
+fn load_matrix(doc: &Json, key: &str) -> Load<Matrix> {
+    let rows: Vec<Vec<f64>> = doc.req(key)?;
+    Matrix::from_rows(&rows).map_err(|e| ArtifactError::Shape(format!("{key}: {e}")))
 }
 
 /// Deserializes a bundle saved by [`save_artifacts`]. Every structural
@@ -333,27 +196,18 @@ fn load_matrix(doc: &Json, key: &str, what: &str) -> Load<Matrix> {
 /// as a typed [`ArtifactError`].
 pub fn load_artifacts(text: &str) -> Load<ModelSet> {
     let doc = parse(text).map_err(|e| ArtifactError::Json(e.to_string()))?;
-    let version = get_u64(&doc, "artifact_schema")?;
+    let version: u64 = doc.req("artifact_schema")?;
     if version > u64::from(ARTIFACT_SCHEMA) {
         return Err(ArtifactError::SchemaTooNew(version));
     }
-    let schema: Vec<String> = get_arr(&doc, "schema")?
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .map(str::to_string)
-                .map_or_else(|| shape("non-string in `schema`"), Ok)
-        })
-        .collect::<Load<_>>()?;
+    let schema: Vec<String> = doc.req("schema")?;
     if schema.is_empty() {
         return shape("`schema` must name at least one feature");
     }
-    let default_class = u32::try_from(get_u64(&doc, "default_class")?)
-        .map_err(|_| ArtifactError::Shape("`default_class` exceeds u32".into()))?;
-    let mut models = ModelSet::new(schema.clone()).with_default_class(default_class);
+    let mut models = ModelSet::new(schema.clone()).with_default_class(doc.req("default_class")?);
 
     if let Some(kmeans_doc) = doc.get("kmeans") {
-        let centroids = load_matrix(kmeans_doc, "centroids", "kmeans centroids")?;
+        let centroids = load_matrix(kmeans_doc, "centroids")?;
         if centroids.cols() != schema.len() {
             return shape(format!(
                 "kmeans centroids have {} dims, schema has {}",
@@ -367,9 +221,7 @@ pub fn load_artifacts(text: &str) -> Load<ModelSet> {
     }
 
     if let Some(knn_doc) = doc.get("knn") {
-        let k = usize::try_from(get_u64(knn_doc, "k")?)
-            .map_err(|_| ArtifactError::Shape("knn `k` out of range".into()))?;
-        let train = load_matrix(knn_doc, "train", "knn train")?;
+        let train = load_matrix(knn_doc, "train")?;
         if train.cols() != schema.len() {
             return shape(format!(
                 "knn train has {} dims, schema has {}",
@@ -377,8 +229,8 @@ pub fn load_artifacts(text: &str) -> Load<ModelSet> {
                 schema.len()
             ));
         }
-        let labels = u32s(get_arr(knn_doc, "labels")?, "knn labels")?;
-        let model = Knn::new(k)
+        let labels: Vec<u32> = knn_doc.req("labels")?;
+        let model = Knn::new(knn_doc.req("k")?)
             .fit(&train, &labels)
             .map_err(|e| ArtifactError::Shape(format!("knn refit: {e}")))?;
         models = models.with_knn(model);
@@ -389,97 +241,62 @@ pub fn load_artifacts(text: &str) -> Load<ModelSet> {
     }
 
     let mut rules = Vec::new();
-    for rule_doc in get_arr(&doc, "rules")? {
+    for rule_doc in doc.req::<&[Json]>("rules")? {
         rules.push(Rule {
-            antecedent: u32s(get_arr(rule_doc, "antecedent")?, "rule antecedent")?,
-            consequent: u32s(get_arr(rule_doc, "consequent")?, "rule consequent")?,
-            support: get_f64(rule_doc, "support")?,
-            confidence: get_f64(rule_doc, "confidence")?,
-            lift: get_f64(rule_doc, "lift")?,
+            antecedent: rule_doc.req("antecedent")?,
+            consequent: rule_doc.req("consequent")?,
+            support: rule_doc.req("support")?,
+            confidence: rule_doc.req("confidence")?,
+            lift: rule_doc.req("lift")?,
         });
     }
     let mut singletons = Vec::new();
-    for pair in get_arr(&doc, "singletons")? {
-        let pair = pair
-            .as_arr()
-            .map_or_else(|| shape("non-array entry in `singletons`"), Ok)?;
-        if pair.len() != 2 {
+    for pair in doc.req::<&[Json]>("singletons")? {
+        let [item, count] = pair.as_arr().unwrap_or_default() else {
             return shape("`singletons` entries must be [item, count]");
-        }
-        let item = pair[0]
-            .as_u64()
-            .and_then(|x| u32::try_from(x).ok())
-            .map_or_else(|| shape("non-u32 item in `singletons`"), Ok)?;
-        let count = pair[1]
-            .as_u64()
-            .map_or_else(|| shape("non-integer count in `singletons`"), Ok)?;
-        singletons.push((item, count as usize));
+        };
+        singletons.push((item.to("singleton item")?, count.to("singleton count")?));
     }
     Ok(models.with_rules(rules, singletons))
 }
 
 fn load_tree(doc: &Json) -> Load<DecisionTree> {
-    let root = usize::try_from(get_u64(doc, "root")?)
-        .map_err(|_| ArtifactError::Shape("tree `root` out of range".into()))?;
-    let n_classes = usize::try_from(get_u64(doc, "n_classes")?)
-        .map_err(|_| ArtifactError::Shape("tree `n_classes` out of range".into()))?;
-    let attr_names: Vec<String> = get_arr(doc, "attr_names")?
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .map(str::to_string)
-                .map_or_else(|| shape("non-string in tree `attr_names`"), Ok)
-        })
-        .collect::<Load<_>>()?;
     let mut nodes = Vec::new();
-    for node_doc in get_arr(doc, "nodes")? {
-        if let Some(leaf) = node_doc.get("leaf") {
-            let class = u32::try_from(get_u64(leaf, "class")?)
-                .map_err(|_| ArtifactError::Shape("leaf `class` exceeds u32".into()))?;
-            let counts = usizes(get_arr(leaf, "counts")?, "leaf counts")?;
-            nodes.push(Node::Leaf { class, counts });
+    for node_doc in doc.req::<&[Json]>("nodes")? {
+        let node = if let Some(leaf) = node_doc.get("leaf") {
+            Node::Leaf {
+                class: leaf.req("class")?,
+                counts: leaf.req("counts")?,
+            }
         } else if let Some(split) = node_doc.get("split") {
-            let attr = usize::try_from(get_u64(split, "attr")?)
-                .map_err(|_| ArtifactError::Shape("split `attr` out of range".into()))?;
-            let spec_doc = split
-                .get("spec")
-                .map_or_else(|| shape("split missing `spec`"), Ok)?;
-            let kind = spec_doc
-                .get("kind")
-                .and_then(Json::as_str)
-                .map_or_else(|| shape("split spec missing `kind`"), Ok)?;
-            let spec = match kind {
+            let spec_doc: &Json = split.req("spec")?;
+            let spec = match spec_doc.req("kind")? {
                 "num" => SplitKind::NumericThreshold {
-                    threshold: get_f64(spec_doc, "threshold")?,
+                    threshold: spec_doc.req("threshold")?,
                 },
                 "multi" => SplitKind::CategoricalMultiway {
-                    categories: u32s(get_arr(spec_doc, "categories")?, "spec categories")?,
+                    categories: spec_doc.req("categories")?,
                 },
                 "eq" => SplitKind::CategoricalEquals {
-                    category: u32::try_from(get_u64(spec_doc, "category")?)
-                        .map_err(|_| ArtifactError::Shape("spec `category` exceeds u32".into()))?,
+                    category: spec_doc.req("category")?,
                 },
                 other => return shape(format!("unknown split kind `{other}`")),
             };
-            let children = usizes(get_arr(split, "children")?, "split children")?;
-            let default_child = usize::try_from(get_u64(split, "default_child")?)
-                .map_err(|_| ArtifactError::Shape("split `default_child` out of range".into()))?;
-            let majority = u32::try_from(get_u64(split, "majority")?)
-                .map_err(|_| ArtifactError::Shape("split `majority` exceeds u32".into()))?;
-            let counts = usizes(get_arr(split, "counts")?, "split counts")?;
-            nodes.push(Node::Split {
-                attr,
+            Node::Split {
+                attr: split.req("attr")?,
                 spec,
-                children,
-                default_child,
-                majority,
-                counts,
-            });
+                children: split.req("children")?,
+                default_child: split.req("default_child")?,
+                majority: split.req("majority")?,
+                counts: split.req("counts")?,
+            }
         } else {
             return shape("tree node is neither `leaf` nor `split`");
-        }
+        };
+        nodes.push(node);
     }
-    DecisionTree::from_parts(nodes, root, n_classes, attr_names)
+    let attr_names = doc.req("attr_names")?;
+    DecisionTree::from_parts(nodes, doc.req("root")?, doc.req("n_classes")?, attr_names)
         .map_err(|e| ArtifactError::Shape(e.to_string()))
 }
 
