@@ -20,19 +20,17 @@ impl TransactionDb {
     ///
     /// Each transaction is sorted and deduplicated; `n_items` is computed
     /// as one past the largest item id (0 for an empty database).
+    ///
+    /// # Panics
+    /// Panics if an item id is `u32::MAX`: no `u32` universe `0..n_items`
+    /// contains it. [`TransactionDb::read_from`] rejects such ids with a
+    /// typed error instead.
     pub fn new(raw: Vec<Vec<u32>>) -> Self {
-        let mut n_items = 0u32;
-        let txns = raw
-            .into_iter()
-            .map(|mut t| {
-                t.sort_unstable();
-                t.dedup();
-                if let Some(&max) = t.last() {
-                    n_items = n_items.max(max + 1);
-                }
-                t
-            })
-            .collect();
+        let (txns, max_item) = canonicalize(raw);
+        let n_items = max_item.map_or(0, |max| {
+            assert!(max < u32::MAX, "item id {max} is outside every universe");
+            max + 1
+        });
         Self { txns, n_items }
     }
 
@@ -40,14 +38,13 @@ impl TransactionDb {
     ///
     /// Fails if any transaction references an item `>= n_items`.
     pub fn with_universe(raw: Vec<Vec<u32>>, n_items: u32) -> Result<Self, DataError> {
-        let db = Self::new(raw);
-        if db.n_items > n_items {
+        let (txns, max_item) = canonicalize(raw);
+        if let Some(max) = max_item.filter(|&max| max >= n_items) {
             return Err(DataError::InvalidParameter(format!(
-                "transaction references item {} outside universe of {n_items}",
-                db.n_items - 1
+                "transaction references item {max} outside universe of {n_items}"
             )));
         }
-        Ok(Self { n_items, ..db })
+        Ok(Self { txns, n_items })
     }
 
     /// Number of transactions.
@@ -116,16 +113,17 @@ impl TransactionDb {
     /// (space-separated item ids).
     pub fn write_to<W: Write>(&self, w: W) -> Result<(), DataError> {
         let mut out = BufWriter::new(w);
+        let mut line: Vec<u8> = Vec::new();
         for t in &self.txns {
-            let mut first = true;
-            for item in t {
-                if !first {
-                    write!(out, " ")?;
+            line.clear();
+            for (k, &item) in t.iter().enumerate() {
+                if k > 0 {
+                    line.push(b' ');
                 }
-                write!(out, "{item}")?;
-                first = false;
+                push_decimal(&mut line, item);
             }
-            writeln!(out)?;
+            line.push(b'\n');
+            out.write_all(&line)?;
         }
         out.flush()?;
         Ok(())
@@ -133,22 +131,60 @@ impl TransactionDb {
 
     /// Reads the format written by [`TransactionDb::write_to`]. Blank lines
     /// are empty transactions.
+    ///
+    /// Every token must be an item id below `u32::MAX`; anything else is a
+    /// [`DataError::Csv`] naming the line.
     pub fn read_from<R: BufRead>(r: R) -> Result<Self, DataError> {
         let mut raw = Vec::new();
         for (i, line) in r.lines().enumerate() {
             let line = line?;
             let mut t = Vec::new();
             for tok in line.split_whitespace() {
-                let item: u32 = tok.parse().map_err(|_| DataError::Csv {
-                    line: i + 1,
-                    message: format!("invalid item id `{tok}`"),
-                })?;
+                let item = tok
+                    .parse::<u32>()
+                    .ok()
+                    .filter(|&item| item < u32::MAX)
+                    .ok_or_else(|| DataError::Csv {
+                        line: i + 1,
+                        message: format!("invalid item id `{tok}` (ids are 0..{})", u32::MAX),
+                    })?;
                 t.push(item);
             }
             raw.push(t);
         }
         Ok(Self::new(raw))
     }
+}
+
+/// Sorts and deduplicates each transaction, returning them with the
+/// largest item id seen (`None` when no transaction has an item).
+fn canonicalize(raw: Vec<Vec<u32>>) -> (Vec<Vec<u32>>, Option<u32>) {
+    let mut max_item = None;
+    let txns = raw
+        .into_iter()
+        .map(|mut t| {
+            t.sort_unstable();
+            t.dedup();
+            max_item = max_item.max(t.last().copied());
+            t
+        })
+        .collect();
+    (txns, max_item)
+}
+
+/// Appends the decimal digits of `v` to `buf`.
+fn push_decimal(buf: &mut Vec<u8>, mut v: u32) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[at..]);
 }
 
 /// Whether sorted slice `small` is a subset of sorted slice `big`.
@@ -243,6 +279,27 @@ mod tests {
     fn read_rejects_garbage() {
         let err = TransactionDb::read_from("1 2\n3 x\n".as_bytes()).unwrap_err();
         assert!(matches!(err, DataError::Csv { line: 2, .. }));
+    }
+
+    #[test]
+    fn read_rejects_the_max_id() {
+        // No universe `0..n_items` of u32 contains u32::MAX.
+        let err = TransactionDb::read_from(&b"4294967295 1\n1\n"[..]).unwrap_err();
+        assert!(matches!(err, DataError::Csv { line: 1, .. }), "{err:?}");
+        let db = TransactionDb::read_from(&b"4294967294 1\n1\n"[..]).unwrap();
+        assert_eq!(db.n_items(), u32::MAX);
+    }
+
+    #[test]
+    fn universe_rejects_the_max_id() {
+        let err = TransactionDb::with_universe(vec![vec![u32::MAX]], u32::MAX).unwrap_err();
+        assert!(matches!(err, DataError::InvalidParameter(_)), "{err:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside every universe")]
+    fn new_rejects_the_max_id_without_overflow() {
+        TransactionDb::new(vec![vec![0, u32::MAX]]);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! The resulting databases reproduce the skewed support distribution
 //! that drives the relative performance of AIS / Apriori / AprioriTid.
 
-use crate::distributions::{exponential, normal, poisson, weighted_index};
+use crate::distributions::{exponential, normal, poisson, WeightedTable};
 use dm_dataset::{DataError, TransactionDb};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -100,12 +100,11 @@ impl QuestConfig {
     }
 }
 
-/// One maximal potentially large itemset with its sampling weight and
-/// corruption level.
+/// One maximal potentially large itemset with its corruption level (its
+/// sampling weight lives in the generator's [`WeightedTable`]).
 #[derive(Debug, Clone)]
 struct Pattern {
     items: Vec<u32>,
-    weight: f64,
     corruption: f64,
 }
 
@@ -115,7 +114,8 @@ struct Pattern {
 pub struct QuestGenerator {
     config: QuestConfig,
     patterns: Vec<Pattern>,
-    weights: Vec<f64>,
+    /// The pattern weights (normalized to sum 1), for O(log |L|) picks.
+    picks: WeightedTable,
 }
 
 impl QuestGenerator {
@@ -124,6 +124,7 @@ impl QuestGenerator {
         config.validate()?;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut patterns: Vec<Pattern> = Vec::with_capacity(config.n_patterns);
+        let mut weights: Vec<f64> = Vec::with_capacity(config.n_patterns);
         let mut weight_sum = 0.0;
         for p in 0..config.n_patterns {
             let len = (poisson(&mut rng, config.avg_pattern_len).max(1) as usize)
@@ -146,22 +147,18 @@ impl QuestGenerator {
             items.dedup();
             let weight = exponential(&mut rng, 1.0);
             weight_sum += weight;
+            weights.push(weight);
             let corruption =
                 normal(&mut rng, config.corruption_mean, config.corruption_sd).clamp(0.0, 1.0);
-            patterns.push(Pattern {
-                items,
-                weight,
-                corruption,
-            });
+            patterns.push(Pattern { items, corruption });
         }
-        for p in &mut patterns {
-            p.weight /= weight_sum;
+        for w in &mut weights {
+            *w /= weight_sum;
         }
-        let weights = patterns.iter().map(|p| p.weight).collect();
         Ok(Self {
             config,
             patterns,
-            weights,
+            picks: WeightedTable::new(weights),
         })
     }
 
@@ -197,7 +194,7 @@ impl QuestGenerator {
         let mut attempts = 0usize;
         while txn.len() < budget && attempts < budget * 8 + 16 {
             attempts += 1;
-            let pat = &self.patterns[weighted_index(rng, &self.weights)];
+            let pat = &self.patterns[self.picks.sample(rng)];
             // Corrupt: drop items while u < corruption level.
             let mut kept: Vec<u32> = pat.items.clone();
             while !kept.is_empty() && rng.gen::<f64>() < pat.corruption {

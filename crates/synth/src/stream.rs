@@ -7,7 +7,7 @@
 //! experiment needs, and the same seed always yields the same sequence,
 //! so prefix-equivalence tests can replay a stream exactly.
 
-use crate::distributions::{normal, weighted_index};
+use crate::distributions::{normal, WeightedTable};
 use crate::{GaussianMixture, QuestGenerator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,13 +21,17 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct PointStream {
     mixture: GaussianMixture,
-    weights: Vec<f64>,
+    picks: WeightedTable,
     rng: StdRng,
 }
 
 impl PointStream {
     /// A stream over `mixture`'s components, seeded independently of
     /// any batch generation.
+    ///
+    /// # Panics
+    /// Panics if the mixture has no points to draw: every component
+    /// count and the noise count are zero.
     pub fn new(mixture: GaussianMixture, seed: u64) -> Self {
         let mut weights: Vec<f64> = mixture
             .components()
@@ -40,7 +44,7 @@ impl PointStream {
         }
         Self {
             mixture,
-            weights,
+            picks: WeightedTable::new(weights),
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -56,7 +60,7 @@ impl Iterator for PointStream {
     type Item = (Vec<f64>, u32);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let idx = weighted_index(&mut self.rng, &self.weights);
+        let idx = self.picks.sample(&mut self.rng);
         let comps = self.mixture.components();
         if idx < comps.len() {
             let comp = &comps[idx];
