@@ -224,12 +224,15 @@ impl FpGrowth {
     /// [`POLL_STRIDE`] transactions; a trip voids the build.
     fn build_tree(
         db: &TransactionDb,
-        item_of_rank: &[u32],
+        frequent: &[(u32, usize)],
         rank_of_item: &[u32],
         guard: &Guard,
     ) -> Result<FpTree, TruncationReason> {
-        let mut tree = FpTree::new(item_of_rank.len());
-        let mut children: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut tree = FpTree::new(frequent.len());
+        // One edge at most per frequent item occurrence: reserved once, the
+        // table never rehashes, and the build's peak memory does not hang on
+        // where the allocator finds room for each doubling beside `tree.nodes`.
+        let mut children = HashMap::with_capacity(frequent.iter().map(|&(_, c)| c).sum());
         let mut ranks: Vec<u32> = Vec::new();
         for (t, txn) in db.iter().enumerate() {
             if t.is_multiple_of(POLL_STRIDE) {
@@ -439,7 +442,7 @@ impl ItemsetMiner for FpGrowth {
 
             let tree = {
                 let _build = obs.span("assoc.fp.build");
-                Self::build_tree(db, &item_of_rank, &rank_of_item, guard)
+                Self::build_tree(db, &frequent, &rank_of_item, guard)
             };
             let Ok(tree) = tree else {
                 break 'mine;

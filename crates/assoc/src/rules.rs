@@ -1,8 +1,9 @@
 //! Association-rule generation (`ap-genrules`).
 
-use crate::candidate::apriori_gen;
 use crate::itemsets::{FrequentItemsets, Itemset};
 use dm_dataset::DataError;
+use std::cmp::Reverse;
+use std::collections::HashMap;
 use std::fmt;
 
 /// An association rule `antecedent ⇒ consequent` with its quality
@@ -48,8 +49,10 @@ impl RuleGenerator {
     }
 
     /// Generates all rules meeting the confidence threshold, ordered by
-    /// descending confidence (ties: descending support, then
-    /// lexicographic antecedent).
+    /// descending confidence, then descending support, then ascending
+    /// antecedent, then ascending consequent (both lexicographic). No two
+    /// rules share both antecedent and consequent, so the order is total
+    /// and the output is unique.
     pub fn generate(&self, itemsets: &FrequentItemsets) -> Result<Vec<Rule>, DataError> {
         if !(0.0..=1.0).contains(&self.min_confidence) {
             return Err(DataError::InvalidParameter(format!(
@@ -58,72 +61,123 @@ impl RuleGenerator {
             )));
         }
         let n = itemsets.n_transactions() as f64;
-        if n == 0.0 {
+        if n == 0.0 || itemsets.max_len() < 2 {
             return Ok(Vec::new());
         }
-        let mut rules = Vec::new();
+        let (sorted, index) = rank_index(itemsets);
+        // Reused across itemsets: `level` holds the consequents of one
+        // width as rows, `kept` the ranks of those whose rule met the
+        // threshold, ascending because rows come in lexicographic order.
+        let (mut level, mut kept, mut buf) = (Vec::new(), Vec::new(), Vec::new());
+        // (support, confidence, lift, antecedent rank, consequent rank)
+        let mut found: Vec<(f64, f64, f64, u32, u32)> = Vec::new();
         for size in 2..=itemsets.max_len() {
             for (items, count) in itemsets.level(size) {
-                self.rules_for_itemset(itemsets, items, *count, &mut rules);
+                let count = *count as f64;
+                level.clone_from(items);
+                // The antecedent must stay non-empty.
+                for width in 1..items.len() {
+                    kept.clear();
+                    for consequent in level.chunks_exact(width) {
+                        buf.clear();
+                        buf.extend(items.iter().filter(|i| !consequent.contains(i)));
+                        // Downward closure guarantees both lookups succeed
+                        // on a complete mining result; a truncated one may
+                        // lack the subset, and then the rule is not emitted.
+                        let Some(&(ante_count, antecedent)) = index.get(buf.as_slice()) else {
+                            continue;
+                        };
+                        let confidence = count / ante_count as f64;
+                        if confidence >= self.min_confidence {
+                            let Some(&(cons_count, cons)) = index.get(consequent) else {
+                                continue;
+                            };
+                            let lift = confidence / (cons_count as f64 / n);
+                            found.push((count / n, confidence, lift, antecedent, cons));
+                            kept.push(cons);
+                        }
+                    }
+                    level.clear();
+                    join(&sorted, &index, &kept, &mut level, &mut buf);
+                }
             }
         }
-        rules.sort_by(|a, b| {
-            b.confidence
-                .total_cmp(&a.confidence)
-                .then(b.support.total_cmp(&a.support))
-                .then(a.antecedent.cmp(&b.antecedent))
-                .then(a.consequent.cmp(&b.consequent))
-        });
-        Ok(rules)
+        // Ranks order as their itemsets do and `key` as `f64::total_cmp`,
+        // so this sorts exactly in the documented order.
+        let key = |x: f64| {
+            let bits = x.to_bits();
+            Reverse(bits ^ (((bits as i64 >> 63) as u64) | (1 << 63)))
+        };
+        found.sort_unstable_by_key(|&(supp, conf, _, a, c)| (key(conf), key(supp), a, c));
+        Ok(found
+            .iter()
+            .map(|&(support, confidence, lift, a, c)| Rule {
+                antecedent: sorted[a as usize].to_vec(),
+                consequent: sorted[c as usize].to_vec(),
+                support,
+                confidence,
+                lift,
+            })
+            .collect())
     }
+}
 
-    /// Expands rules for one frequent itemset, growing consequents
-    /// level-wise with `apriori-gen` over the surviving consequents.
-    fn rules_for_itemset(
-        &self,
-        itemsets: &FrequentItemsets,
-        items: &Itemset,
-        count: usize,
-        out: &mut Vec<Rule>,
-    ) {
-        let n = itemsets.n_transactions() as f64;
-        let support = count as f64 / n;
-        // Level 1: single-item consequents.
-        let mut consequents: Vec<Itemset> = items.iter().map(|&i| vec![i]).collect();
-        while !consequents.is_empty() {
-            let mut survivors: Vec<Itemset> = Vec::new();
-            for consequent in consequents {
-                if consequent.len() >= items.len() {
-                    continue; // antecedent must be non-empty
-                }
-                let antecedent: Itemset = items
-                    .iter()
-                    .copied()
-                    .filter(|i| !consequent.contains(i))
-                    .collect();
-                // Downward closure guarantees both lookups succeed on a
-                // complete mining result; a truncated one may lack the
-                // subset, in which case the rule is simply not emitted.
-                let Some(ante_count) = itemsets.support_count(&antecedent) else {
-                    continue;
-                };
-                let confidence = count as f64 / ante_count as f64;
-                if confidence >= self.min_confidence {
-                    let Some(cons_count) = itemsets.support_count(&consequent) else {
-                        continue;
-                    };
-                    out.push(Rule {
-                        antecedent,
-                        consequent: consequent.clone(),
-                        support,
-                        confidence,
-                        lift: confidence / (cons_count as f64 / n),
-                    });
-                    survivors.push(consequent);
-                }
+/// Itemset → (support count, rank).
+type RankIndex<'a> = HashMap<&'a [u32], (usize, u32)>;
+
+/// Every frequent itemset once, in lexicographic order (an itemset's
+/// rank is its position), and the index into it.
+fn rank_index(itemsets: &FrequentItemsets) -> (Vec<&[u32]>, RankIndex<'_>) {
+    let mut all: Vec<(&[u32], usize)> = itemsets.iter().map(|(i, c)| (i.as_slice(), c)).collect();
+    // Stable, so a duplicated itemset keeps its last count, as
+    // `FrequentItemsets::support_count` does.
+    all.sort_by(|a, b| a.0.cmp(b.0));
+    let mut sorted: Vec<&[u32]> = Vec::with_capacity(all.len());
+    let mut index = HashMap::with_capacity(all.len());
+    for (items, count) in all {
+        if sorted.last() != Some(&items) {
+            sorted.push(items);
+        }
+        index.insert(items, (count, sorted.len() as u32 - 1));
+    }
+    (sorted, index)
+}
+
+/// `apriori-gen` over the consequents ranked `kept`: joins each pair
+/// sharing all but its last item, and appends the joined row to `out`
+/// only if every subset one item shorter is ranked in `kept` too.
+fn join(
+    sorted: &[&[u32]],
+    index: &RankIndex<'_>,
+    kept: &[u32],
+    out: &mut Vec<u32>,
+    subset: &mut Vec<u32>,
+) {
+    for (i, &a) in kept.iter().enumerate() {
+        let a = sorted[a as usize];
+        let prefix = &a[..a.len() - 1];
+        // `kept` is in lexicographic order, so the rows sharing `a`'s
+        // prefix directly follow it.
+        for &b in &kept[i + 1..] {
+            let b = sorted[b as usize];
+            if !b.starts_with(prefix) {
+                break;
             }
-            survivors.sort();
-            consequents = apriori_gen(&survivors);
+            let last = b[b.len() - 1];
+            // Dropping either of the last two items gives `b` or `a`.
+            let frequent = (0..prefix.len()).all(|skip| {
+                subset.clear();
+                subset.extend_from_slice(&a[..skip]);
+                subset.extend_from_slice(&a[skip + 1..]);
+                subset.push(last);
+                index
+                    .get(subset.as_slice())
+                    .is_some_and(|(_, rank)| kept.binary_search(rank).is_ok())
+            });
+            if frequent {
+                out.extend_from_slice(a);
+                out.push(last);
+            }
         }
     }
 }

@@ -507,17 +507,13 @@ impl ModelSet {
         let mut rules = RuleGenerator::new(0.4).generate(&mined.itemsets)?;
         // Quest at this support yields tens of thousands of rules; a
         // serving bundle that large makes every recommend request scan
-        // them all and bloats the artifact file ~1 MB. Keep a
-        // deterministic top slice — the recommender ranks by the same
-        // key, so the best answers survive the cut.
-        rules.sort_by(|a, b| {
-            b.confidence
-                .total_cmp(&a.confidence)
-                .then(b.support.total_cmp(&a.support))
-                .then_with(|| a.antecedent.cmp(&b.antecedent))
-                .then_with(|| a.consequent.cmp(&b.consequent))
-        });
+        // them all and bloats the artifact file ~1 MB. Keep the top
+        // slice of the generator's order (confidence, then support) —
+        // the recommender ranks by the same key, so the best answers
+        // survive the cut — in a buffer of its own size, not the one
+        // that held every rule.
         rules.truncate(512);
+        rules.shrink_to_fit();
         let singletons = mined.itemsets.singletons_by_support();
         let majority = labels.majority().unwrap_or(0);
         Ok(Self::new(schema)
@@ -557,6 +553,27 @@ mod tests {
             a.recommend(&[1, 2], 5, &g).unwrap(),
             b.recommend(&[1, 2], 5, &g).unwrap()
         );
+    }
+
+    #[test]
+    fn demo_serves_the_generators_top_rules_in_an_exact_buffer() {
+        let config = QuestConfig {
+            n_transactions: 300,
+            avg_txn_len: 8.0,
+            avg_pattern_len: 4.0,
+            n_patterns: 50,
+            n_items: 100,
+            correlation: 0.25,
+            corruption_mean: 0.5,
+            corruption_sd: 0.1,
+        };
+        let db = QuestGenerator::new(config, 7).unwrap().generate(8);
+        let mined = mine(&db, MinSupport::Fraction(0.02), Method::Auto).unwrap();
+        let all = RuleGenerator::new(0.4).generate(&mined.itemsets).unwrap();
+        assert!(all.len() > 512, "the cut must bite: {} rules", all.len());
+        let m = ModelSet::demo(7).unwrap();
+        assert_eq!(m.rules(), &all[..512]);
+        assert_eq!(m.rules.capacity(), 512);
     }
 
     #[test]
