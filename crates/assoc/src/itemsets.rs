@@ -112,26 +112,19 @@ impl FrequentItemsets {
 
     /// Checks downward closure: every proper subset of every frequent
     /// itemset is itself present with at least the superset's support.
-    /// Used by the property tests.
+    /// Used by the property tests, and by rule generation to learn that
+    /// growing a consequent cannot raise its rule's confidence.
     pub fn verify_downward_closure(&self) -> bool {
-        for (items, count) in self.iter() {
-            if items.len() < 2 {
-                continue;
-            }
-            for skip in 0..items.len() {
-                let subset: Itemset = items
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != skip)
-                    .map(|(_, &x)| x)
-                    .collect();
-                match self.support_count(&subset) {
-                    Some(sub_count) if sub_count >= count => {}
-                    _ => return false,
-                }
-            }
-        }
-        true
+        let mut subset = Vec::new();
+        self.iter().all(|(items, count)| {
+            items.len() < 2
+                || (0..items.len()).all(|skip| {
+                    subset.clear();
+                    subset.extend_from_slice(&items[..skip]);
+                    subset.extend_from_slice(&items[skip + 1..]);
+                    self.support_count(&subset).is_some_and(|sub| sub >= count)
+                })
+        })
     }
 }
 

@@ -54,23 +54,46 @@ impl RuleGenerator {
     /// rules share both antecedent and consequent, so the order is total
     /// and the output is unique.
     pub fn generate(&self, itemsets: &FrequentItemsets) -> Result<Vec<Rule>, DataError> {
+        self.generate_top(itemsets, usize::MAX)
+    }
+
+    /// The first `n` rules of [`generate`](Self::generate), without the
+    /// rest: once `2n` are held, the best `n` set a rising confidence
+    /// floor for later rules and, on downward-closed itemsets (as every
+    /// complete mining result is), for the consequents to extend.
+    pub fn generate_top(
+        &self,
+        itemsets: &FrequentItemsets,
+        n: usize,
+    ) -> Result<Vec<Rule>, DataError> {
         if !(0.0..=1.0).contains(&self.min_confidence) {
             return Err(DataError::InvalidParameter(format!(
                 "min_confidence {} not in [0, 1]",
                 self.min_confidence
             )));
         }
-        let n = itemsets.n_transactions() as f64;
-        if n == 0.0 || itemsets.max_len() < 2 {
+        let total = itemsets.n_transactions() as f64;
+        if n == 0 || total == 0.0 || itemsets.max_len() < 2 {
             return Ok(Vec::new());
         }
         let (sorted, index) = rank_index(itemsets);
         // Reused across itemsets: `level` holds the consequents of one
-        // width as rows, `kept` the ranks of those whose rule met the
-        // threshold, ascending because rows come in lexicographic order.
+        // width as rows, `kept` the ranks of those to extend, ascending
+        // because rows come in lexicographic order.
         let (mut level, mut kept, mut buf) = (Vec::new(), Vec::new(), Vec::new());
         // (support, confidence, lift, antecedent rank, consequent rank)
         let mut found: Vec<(f64, f64, f64, u32, u32)> = Vec::new();
+        // Ranks order as their itemsets do and `key` as `f64::total_cmp`,
+        // so `order` is exactly the documented order.
+        let key = |x: f64| {
+            let bits = x.to_bits();
+            Reverse(bits ^ (((bits as i64 >> 63) as u64) | (1 << 63)))
+        };
+        let order = |r: &(f64, f64, f64, u32, u32)| (key(r.1), key(r.0), r.3, r.4);
+        // Rules are kept from `floor` up, consequents extended from `extend`
+        // up, which follows the floor where extensions cannot gain confidence.
+        let (mut floor, mut extend) = (self.min_confidence, self.min_confidence);
+        let closed = n < usize::MAX && itemsets.verify_downward_closure();
         for size in 2..=itemsets.max_len() {
             for (items, count) in itemsets.level(size) {
                 let count = *count as f64;
@@ -88,13 +111,24 @@ impl RuleGenerator {
                             continue;
                         };
                         let confidence = count / ante_count as f64;
-                        if confidence >= self.min_confidence {
+                        if confidence >= extend {
                             let Some(&(cons_count, cons)) = index.get(consequent) else {
                                 continue;
                             };
-                            let lift = confidence / (cons_count as f64 / n);
-                            found.push((count / n, confidence, lift, antecedent, cons));
                             kept.push(cons);
+                            if confidence < floor {
+                                continue;
+                            }
+                            let lift = confidence / (cons_count as f64 / total);
+                            found.push((count / total, confidence, lift, antecedent, cons));
+                            if found.len() == n.saturating_mul(2) {
+                                found.select_nth_unstable_by_key(n - 1, order);
+                                found.truncate(n);
+                                floor = found[n - 1].1;
+                                if closed {
+                                    extend = floor;
+                                }
+                            }
                         }
                     }
                     level.clear();
@@ -102,13 +136,9 @@ impl RuleGenerator {
                 }
             }
         }
-        // Ranks order as their itemsets do and `key` as `f64::total_cmp`,
-        // so this sorts exactly in the documented order.
-        let key = |x: f64| {
-            let bits = x.to_bits();
-            Reverse(bits ^ (((bits as i64 >> 63) as u64) | (1 << 63)))
-        };
-        found.sort_unstable_by_key(|&(supp, conf, _, a, c)| (key(conf), key(supp), a, c));
+        // At most `2n - 1` remain; sorting them all is as cheap as selecting.
+        found.sort_unstable_by_key(order);
+        found.truncate(n);
         Ok(found
             .iter()
             .map(|&(support, confidence, lift, a, c)| Rule {

@@ -504,16 +504,13 @@ impl ModelSet {
         };
         let db = QuestGenerator::new(config, seed)?.generate(seed.wrapping_add(1));
         let mined = mine(&db, MinSupport::Fraction(0.02), Method::Auto)?;
-        let mut rules = RuleGenerator::new(0.4).generate(&mined.itemsets)?;
         // Quest at this support yields tens of thousands of rules; a
         // serving bundle that large makes every recommend request scan
-        // them all and bloats the artifact file ~1 MB. Keep the top
-        // slice of the generator's order (confidence, then support) —
+        // them all and bloats the artifact file ~1 MB. Generate only the
+        // top 512 of the generator's order (confidence, then support):
         // the recommender ranks by the same key, so the best answers
-        // survive the cut — in a buffer of its own size, not the one
-        // that held every rule.
-        rules.truncate(512);
-        rules.shrink_to_fit();
+        // survive the cut.
+        let rules = RuleGenerator::new(0.4).generate_top(&mined.itemsets, 512)?;
         let singletons = mined.itemsets.singletons_by_support();
         let majority = labels.majority().unwrap_or(0);
         Ok(Self::new(schema)

@@ -31,11 +31,12 @@ fn main() {
         mined.itemsets.max_len(),
         mined.stats.n_passes()
     );
+    // `generate_top` builds only the best rules, in `generate`'s order.
     let rules = RuleGenerator::new(0.8)
-        .generate(&mined.itemsets)
+        .generate_top(&mined.itemsets, 5)
         .expect("valid threshold");
     println!("top rules at 80% confidence:");
-    for rule in rules.iter().take(5) {
+    for rule in &rules {
         println!("  {rule}");
     }
 
