@@ -9,7 +9,7 @@
 //! from `L_{k-1} ⋈ L_{k-1}`, AIS counts far more distinct candidates
 //! than Apriori — the effect experiments E1–E2 reproduce.
 
-use crate::apriori::POLL_STRIDE;
+use crate::count::{self, POLL_STRIDE};
 use crate::itemsets::{FrequentItemsets, Itemset};
 use crate::stats::MiningStats;
 use crate::{ItemsetMiner, MinSupport, MiningResult};
@@ -66,21 +66,10 @@ impl ItemsetMiner for Ais {
             if guard.try_work(u64::from(db.n_items())).is_err() {
                 break 'mine;
             }
-            let mut counts = vec![0usize; db.n_items() as usize];
-            for (t, txn) in db.iter().enumerate() {
-                if t.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
-                    break 'mine;
-                }
-                for &item in txn {
-                    counts[item as usize] += 1;
-                }
-            }
-            let l1: Vec<(Itemset, usize)> = counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c >= min_count)
-                .map(|(item, &c)| (vec![item as u32], c))
-                .collect();
+            let Ok(counts) = count::item_counts(db, guard) else {
+                break 'mine;
+            };
+            let l1 = count::frequent_items(&counts, min_count);
             drop(pass1_span);
             stats.push(1, db.n_items() as usize, l1.len(), t0.elapsed());
             levels.push(l1);

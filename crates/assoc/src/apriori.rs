@@ -1,32 +1,17 @@
 //! The Apriori algorithm (Agrawal & Srikant, VLDB 1994).
 
 use crate::candidate::apriori_gen;
+use crate::count;
 use crate::hash_tree::HashTree;
 use crate::itemsets::{FrequentItemsets, Itemset};
 use crate::stats::MiningStats;
 use crate::{ItemsetMiner, MinSupport, MiningResult};
 use dm_dataset::transactions::is_subset_sorted;
-use dm_dataset::{DataError, TransactionDb, VerticalDb};
+use dm_dataset::{DataError, TransactionDb};
 use dm_guard::{Guard, Outcome, TruncationReason};
 use dm_obs::HeapSize;
-use dm_par::{
-    par_chunks_map_reduce_governed, par_range_map_reduce_governed, Chunking, Parallelism,
-};
+use dm_par::Parallelism;
 use std::time::Instant;
-
-/// How many transactions a counting shard processes between guard polls;
-/// bounds cancellation latency inside a database scan.
-pub(crate) const POLL_STRIDE: usize = 256;
-
-/// Sums the right-hand count vector into the left one (the merge step
-/// of every Count Distribution pass: per-shard counters add up).
-fn merge_counts<T: Copy + std::ops::AddAssign>(mut a: Vec<T>, b: Vec<T>) -> Vec<T> {
-    debug_assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter_mut().zip(b) {
-        *x += y;
-    }
-    a
-}
 
 /// How candidate supports are counted in passes ≥ 3 (pass 2 always
 /// uses the dense triangular pair array, per the paper).
@@ -65,7 +50,6 @@ pub struct Apriori {
     counting: CountingStrategy,
     max_len: Option<usize>,
     pair_array: bool,
-    vertical_pass2: bool,
     parallelism: Parallelism,
 }
 
@@ -77,7 +61,6 @@ impl Apriori {
             counting: CountingStrategy::default(),
             max_len: None,
             pair_array: true,
-            vertical_pass2: false,
             parallelism: Parallelism::Sequential,
         }
     }
@@ -106,190 +89,10 @@ impl Apriori {
         self
     }
 
-    /// Routes pass 2 through the vertical layout: materialize per-item
-    /// tid columns ([`VerticalDb`]) and count each candidate pair by
-    /// column intersection instead of scanning transactions. Results and
-    /// the admitted candidate count are identical to the default pair
-    /// array (the tests enforce it); the trade is one column
-    /// materialization against `m(m-1)/2` cache-friendly intersections,
-    /// which pays off when the pair array would be large and sparse.
-    /// Off by default.
-    pub fn with_vertical_pass2(mut self, vertical_pass2: bool) -> Self {
-        self.vertical_pass2 = vertical_pass2;
-        self
-    }
-
     /// Stops after mining itemsets of this size.
     pub fn with_max_len(mut self, max_len: usize) -> Self {
         self.max_len = Some(max_len);
         self
-    }
-
-    /// Pass 1: frequent single items via dense counting, one counter
-    /// array per shard. Shards poll `guard` every [`POLL_STRIDE`]
-    /// transactions; a trip voids the pass.
-    fn frequent_items(
-        par: Parallelism,
-        db: &TransactionDb,
-        min_count: usize,
-        guard: &Guard,
-    ) -> Result<Vec<(Itemset, usize)>, TruncationReason> {
-        let n_items = db.n_items() as usize;
-        let counts = par_chunks_map_reduce_governed(
-            par,
-            Chunking::PerThread,
-            db.transactions(),
-            guard,
-            || vec![0usize; n_items],
-            |shard| {
-                let mut counts = vec![0usize; n_items];
-                for (t, txn) in shard.iter().enumerate() {
-                    if t.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
-                        break;
-                    }
-                    for &item in txn {
-                        counts[item as usize] += 1;
-                    }
-                }
-                counts
-            },
-            merge_counts,
-        )?;
-        Ok(counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c >= min_count)
-            .map(|(item, &c)| (vec![item as u32], c))
-            .collect())
-    }
-
-    /// Pass 2: counts all pairs of frequent items with a dense
-    /// triangular array — the paper's own treatment of the second pass,
-    /// where candidate sets are too large for tree structures to pay off.
-    /// Returns the frequent pairs and the implicit candidate count.
-    fn frequent_pairs(
-        par: Parallelism,
-        db: &TransactionDb,
-        l1: &[(Itemset, usize)],
-        min_count: usize,
-        guard: &Guard,
-    ) -> Result<(Vec<(Itemset, usize)>, usize), TruncationReason> {
-        let m = l1.len();
-        if m < 2 {
-            return Ok((Vec::new(), 0));
-        }
-        // Dense id per frequent item.
-        let mut dense = vec![u32::MAX; db.n_items() as usize];
-        for (id, (items, _)) in l1.iter().enumerate() {
-            dense[items[0] as usize] = id as u32;
-        }
-        let n_pairs = m * (m - 1) / 2;
-        // Triangular index for i < j over m items.
-        let tri = |i: usize, j: usize| i * m - i * (i + 1) / 2 + (j - i - 1);
-        let counts = par_chunks_map_reduce_governed(
-            par,
-            Chunking::PerThread,
-            db.transactions(),
-            guard,
-            || vec![0u32; n_pairs],
-            |shard| {
-                let mut counts = vec![0u32; n_pairs];
-                let mut present: Vec<usize> = Vec::new();
-                for (t, txn) in shard.iter().enumerate() {
-                    if t.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
-                        break;
-                    }
-                    present.clear();
-                    present.extend(
-                        txn.iter()
-                            .map(|&item| dense[item as usize])
-                            .filter(|&d| d != u32::MAX)
-                            .map(|d| d as usize),
-                    );
-                    for (a, &i) in present.iter().enumerate() {
-                        for &j in &present[a + 1..] {
-                            counts[tri(i, j)] += 1;
-                        }
-                    }
-                }
-                counts
-            },
-            merge_counts,
-        )?;
-        let mut out = Vec::new();
-        for i in 0..m {
-            for j in (i + 1)..m {
-                let c = counts[tri(i, j)] as usize;
-                if c >= min_count {
-                    out.push((vec![l1[i].0[0], l1[j].0[0]], c));
-                }
-            }
-        }
-        Ok((out, n_pairs))
-    }
-
-    /// Pass 2 over the vertical layout: one tid-column per item, each
-    /// candidate pair counted by column intersection (AND + popcount or
-    /// galloping merge, per column density). Same frequent pairs and the
-    /// same analytic candidate count as [`Apriori::frequent_pairs`];
-    /// rows of the pair triangle are sharded with [`Chunking::Fixed`],
-    /// so the output is bit-identical for every thread count.
-    fn frequent_pairs_vertical(
-        par: Parallelism,
-        db: &TransactionDb,
-        l1: &[(Itemset, usize)],
-        min_count: usize,
-        guard: &Guard,
-    ) -> Result<(Vec<(Itemset, usize)>, usize), TruncationReason> {
-        let m = l1.len();
-        if m < 2 {
-            return Ok((Vec::new(), 0));
-        }
-        let n_pairs = m * (m - 1) / 2;
-        let vertical =
-            match VerticalDb::from_db_interruptible(db, POLL_STRIDE, || guard.should_stop()) {
-                Some(v) => v,
-                None => {
-                    guard.check()?;
-                    return Err(TruncationReason::Cancelled);
-                }
-            };
-        let obs = guard.obs();
-        if obs.enabled() {
-            obs.gauge_max("assoc.mem.vertical_bytes", vertical.heap_bytes() as f64);
-            obs.counter("assoc.apriori.pass2.vertical_intersections", n_pairs as u64);
-        }
-        let items: Vec<u32> = l1.iter().map(|(i, _)| i[0]).collect();
-        let frequent = par_range_map_reduce_governed(
-            par,
-            Chunking::Fixed(16),
-            m,
-            guard,
-            Vec::new,
-            |rows| {
-                let mut out: Vec<(Itemset, usize)> = Vec::new();
-                let mut done = 0usize;
-                for i in rows {
-                    let a = vertical.column(items[i]);
-                    for &b_item in &items[i + 1..] {
-                        if done.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
-                            return out;
-                        }
-                        done += 1;
-                        let c = a.intersect_count(vertical.column(b_item));
-                        if c >= min_count {
-                            out.push((vec![items[i], b_item], c));
-                        }
-                    }
-                }
-                out
-            },
-            |mut a, b| {
-                a.extend(b);
-                a
-            },
-        )?;
-        Ok((frequent, n_pairs))
     }
 
     /// Counts `candidates` over the database with the configured strategy.
@@ -305,75 +108,32 @@ impl Apriori {
             CountingStrategy::HashTree {
                 fanout,
                 leaf_capacity,
-            } => {
-                // Build the tree once, then count shards into private
-                // `CountState`s against the now-immutable tree and merge
-                // by summation.
-                let tree = HashTree::build(candidates, k, fanout, leaf_capacity);
-                let obs = guard.obs();
-                if obs.enabled() {
-                    // The paper's memory claim for Apriori: the hash
-                    // tree is the pass's big intermediate, and it stays
-                    // small relative to the database in late passes.
-                    let bytes = tree.heap_bytes() as f64;
-                    obs.gauge_max_fmt(
-                        format_args!("assoc.apriori.pass{k}.hashtree_mem_bytes"),
-                        bytes,
-                    );
-                    obs.gauge_max("assoc.mem.hashtree_bytes", bytes);
-                }
-                let state = par_chunks_map_reduce_governed(
-                    self.parallelism,
-                    Chunking::PerThread,
-                    db.transactions(),
-                    guard,
-                    || tree.new_count_state(),
-                    |shard| {
-                        let mut state = tree.new_count_state();
-                        for (t, txn) in shard.iter().enumerate() {
-                            if t.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
-                                break;
-                            }
-                            tree.count_transaction_into(txn, &mut state);
-                        }
-                        state
-                    },
-                    |mut a, b| {
-                        a.absorb(&b);
-                        a
-                    },
-                )?;
-                obs.counter_fmt(
-                    format_args!("assoc.apriori.pass{k}.hashtree_visits"),
-                    state.node_visits(),
-                );
-                Ok(tree.into_frequent_with(state.counts(), min_count))
-            }
+            } => count::hash_tree_pass(
+                self.parallelism,
+                db,
+                HashTree::build(candidates, k, fanout, leaf_capacity),
+                k,
+                min_count,
+                guard,
+                "apriori",
+            ),
             CountingStrategy::Linear => {
-                let counts = par_chunks_map_reduce_governed(
+                let counts = count::sharded(
                     self.parallelism,
-                    Chunking::PerThread,
-                    db.transactions(),
+                    db,
                     guard,
                     || vec![0usize; candidates.len()],
-                    |shard| {
-                        let mut counts = vec![0usize; candidates.len()];
-                        for (t, txn) in shard.iter().enumerate() {
-                            if t.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
-                                break;
-                            }
-                            if txn.len() < k {
-                                continue;
-                            }
-                            for (cand, count) in candidates.iter().zip(&mut counts) {
-                                if is_subset_sorted(cand, txn) {
-                                    *count += 1;
-                                }
+                    |counts, txn| {
+                        if txn.len() < k {
+                            return;
+                        }
+                        for (cand, count) in candidates.iter().zip(counts) {
+                            if is_subset_sorted(cand, txn) {
+                                *count += 1;
                             }
                         }
-                        counts
                     },
-                    merge_counts,
+                    count::merge_counts,
                 )?;
                 let mut counted: Vec<(Itemset, usize)> = candidates
                     .into_iter()
@@ -421,13 +181,14 @@ impl ItemsetMiner for Apriori {
             if guard.try_work(u64::from(db.n_items())).is_err() {
                 break 'mine;
             }
-            let l1 = {
+            let counts = {
                 let _pass = obs.span("assoc.apriori.pass1");
-                Self::frequent_items(self.parallelism, db, min_count, guard)
+                count::item_counts_sharded(self.parallelism, db, guard)
             };
-            let Ok(l1) = l1 else {
+            let Ok(counts) = counts else {
                 break 'mine;
             };
+            let l1 = count::frequent_items(&counts, min_count);
             stats.push(1, db.n_items() as usize, l1.len(), t0.elapsed());
             levels.push(l1);
 
@@ -442,28 +203,26 @@ impl ItemsetMiner for Apriori {
                 let t0 = Instant::now();
                 let pass_span = obs.span_fmt(format_args!("assoc.apriori.pass{}", k + 1));
                 let pass: Result<(Vec<(Itemset, usize)>, usize), TruncationReason> = if k == 1
-                    && (self.pair_array || self.vertical_pass2)
+                    && self.pair_array
                 {
-                    // Dense triangular-array or vertical-intersection
-                    // counting for the pair pass. Either way the
-                    // candidate count is known analytically, so the
-                    // work is admitted *before* any pass structure is
-                    // even allocated.
+                    // Dense triangular-array counting for the pair pass.
+                    // The candidate count is known analytically, so the
+                    // work is admitted *before* the array is even
+                    // allocated.
                     let m = levels[0].len();
                     let n_pairs = m * (m - 1) / 2;
-                    guard.try_work(n_pairs as u64).and_then(|()| {
-                        if self.vertical_pass2 {
-                            Self::frequent_pairs_vertical(
+                    guard
+                        .try_work(n_pairs as u64)
+                        .and_then(|()| {
+                            count::frequent_pairs(
                                 self.parallelism,
                                 db,
                                 &levels[0],
                                 min_count,
                                 guard,
                             )
-                        } else {
-                            Self::frequent_pairs(self.parallelism, db, &levels[0], min_count, guard)
-                        }
-                    })
+                        })
+                        .map(|frequent| (frequent, n_pairs))
                 } else {
                     let prev: Vec<Itemset> = levels[k - 1].iter().map(|(i, _)| i.clone()).collect();
                     let candidates = if k == 1 {
@@ -562,28 +321,6 @@ mod tests {
             .mine(&db)
             .unwrap();
         assert_eq!(a.itemsets, b.itemsets);
-    }
-
-    #[test]
-    fn vertical_pass2_matches_pair_array() {
-        // Quest data: realistically skewed supports, so the tid columns
-        // land on both sides of the dense/sparse cutover.
-        let db = dm_synth::QuestGenerator::new(dm_synth::QuestConfig::standard(8.0, 3.0, 300), 7)
-            .unwrap()
-            .generate(13);
-        for min in [MinSupport::Fraction(0.02), MinSupport::Count(4)] {
-            let plain = Apriori::new(min).mine(&db).unwrap();
-            let vertical = Apriori::new(min)
-                .with_vertical_pass2(true)
-                .mine(&db)
-                .unwrap();
-            assert_eq!(plain.itemsets, vertical.itemsets);
-            // Same analytic candidate admission on the pair pass.
-            assert_eq!(
-                plain.stats.passes[1].candidates,
-                vertical.stats.passes[1].candidates
-            );
-        }
     }
 
     #[test]

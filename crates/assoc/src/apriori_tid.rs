@@ -9,15 +9,14 @@
 //! lists empty out are dropped entirely — the behaviour that makes the
 //! algorithm fast in late passes and memory-hungry in pass 2.
 
-use crate::apriori::POLL_STRIDE;
 use crate::candidate::{apriori_gen, gen_pairs};
+use crate::count;
 use crate::itemsets::{FrequentItemsets, Itemset};
 use crate::stats::MiningStats;
 use crate::{ItemsetMiner, MinSupport, MiningResult};
 use dm_dataset::{DataError, TransactionDb};
 use dm_guard::{Guard, Outcome};
 use dm_obs::HeapSize;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Frequent-itemset miner using the candidate-id list representation.
@@ -72,21 +71,10 @@ impl ItemsetMiner for AprioriTid {
             if guard.try_work(u64::from(db.n_items())).is_err() {
                 break 'mine;
             }
-            let mut counts = vec![0usize; db.n_items() as usize];
-            for (t, txn) in db.iter().enumerate() {
-                if t.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
-                    break 'mine;
-                }
-                for &item in txn {
-                    counts[item as usize] += 1;
-                }
-            }
-            let l1: Vec<(Itemset, usize)> = counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c >= min_count)
-                .map(|(item, &c)| (vec![item as u32], c))
-                .collect();
+            let Ok(counts) = count::item_counts(db, guard) else {
+                break 'mine;
+            };
+            let l1 = count::frequent_items(&counts, min_count);
             // Dense id per frequent item.
             let mut item_id = vec![u32::MAX; db.n_items() as usize];
             for (id, (items, _)) in l1.iter().enumerate() {
@@ -114,9 +102,6 @@ impl ItemsetMiner for AprioriTid {
 
             // ---- Passes k ≥ 2 over the C̄ representation. ----
             let mut k = 1usize;
-            // Stamp array marking which previous-level ids the current
-            // transaction contains (generation-stamped to avoid clearing).
-            let mut stamp: Vec<u32> = Vec::new();
             loop {
                 if self.max_len.is_some_and(|m| k >= m) {
                     break;
@@ -141,92 +126,18 @@ impl ItemsetMiner for AprioriTid {
                     break 'mine;
                 }
 
-                // Each candidate's two generators as dense prev-level ids.
-                let prev_id: HashMap<&[u32], u32> = prev_sets
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| (s.as_slice(), i as u32))
-                    .collect();
-                let mut generators: Vec<(u32, u32)> = Vec::with_capacity(candidates.len());
-                // Candidates grouped by first generator for the per-txn probe.
-                let mut by_g1: Vec<Vec<u32>> = vec![Vec::new(); prev_sets.len()];
-                for (cid, cand) in candidates.iter().enumerate() {
-                    let n = cand.len();
-                    let mut g1: Itemset = cand.clone();
-                    g1.remove(n - 1); // drop last item
-                    let mut g2: Itemset = cand.clone();
-                    g2.remove(n - 2); // drop second-to-last item
-                    let id1 = prev_id[g1.as_slice()];
-                    let id2 = prev_id[g2.as_slice()];
-                    generators.push((id1, id2));
-                    by_g1[id1 as usize].push(cid as u32);
-                }
-
-                // Join pass over C̄_{k-1}.
-                stamp.clear();
-                stamp.resize(prev_sets.len(), u32::MAX);
-                let mut cand_counts = vec![0usize; candidates.len()];
-                let mut next_tidlists: Vec<Vec<u32>> = Vec::with_capacity(tidlists.len());
-                for (gen, ids) in tidlists.iter().enumerate() {
-                    if gen.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
-                        break 'mine;
-                    }
-                    let gen = gen as u32;
-                    for &id in ids {
-                        stamp[id as usize] = gen;
-                    }
-                    let mut present: Vec<u32> = Vec::new();
-                    for &id in ids {
-                        for &cid in &by_g1[id as usize] {
-                            let (_, g2) = generators[cid as usize];
-                            if stamp[g2 as usize] == gen {
-                                cand_counts[cid as usize] += 1;
-                                present.push(cid);
-                            }
-                        }
-                    }
-                    if !present.is_empty() {
-                        present.sort_unstable();
-                        next_tidlists.push(present);
-                    }
-                }
-
-                if obs.enabled() {
-                    // Measure C̄_{k+1} at its peak: after the join, before
-                    // infrequent candidates are filtered out — this is the
-                    // structure the paper's pass-2 memory blow-up is about.
-                    let ck = next_tidlists.heap_bytes() as f64;
-                    obs.gauge_max_fmt(
-                        format_args!("assoc.apriori_tid.pass{}.ck_mem_bytes", k + 1),
-                        ck,
-                    );
-                    obs.gauge_max("assoc.mem.ck_bytes", ck);
-                }
-
-                // Filter to the frequent candidates and remap ids densely.
-                let mut keep: Vec<u32> = Vec::new();
-                let mut new_id = vec![u32::MAX; candidates.len()];
-                let mut lk: Vec<(Itemset, usize)> = Vec::new();
-                for (cid, cand) in candidates.into_iter().enumerate() {
-                    if cand_counts[cid] >= min_count {
-                        new_id[cid] = keep.len() as u32;
-                        keep.push(cid as u32);
-                        lk.push((cand, cand_counts[cid]));
-                    }
-                }
-                for ids in &mut next_tidlists {
-                    ids.retain_mut(|cid| {
-                        let mapped = new_id[*cid as usize];
-                        if mapped == u32::MAX {
-                            false
-                        } else {
-                            *cid = mapped;
-                            true
-                        }
-                    });
-                }
-                next_tidlists.retain(|ids| !ids.is_empty());
-                tidlists = next_tidlists;
+                let Ok((lk, next)) = count::tid_join(
+                    &prev_sets,
+                    candidates,
+                    &tidlists,
+                    k + 1,
+                    min_count,
+                    guard,
+                    "apriori_tid",
+                ) else {
+                    break 'mine;
+                };
+                tidlists = next;
 
                 drop(pass_span);
                 stats.push(k + 1, n_candidates, lk.len(), t0.elapsed());

@@ -1,6 +1,6 @@
 //! Exhaustive reference miner used as the correctness oracle.
 
-use crate::apriori::POLL_STRIDE;
+use crate::count::POLL_STRIDE;
 use crate::itemsets::{FrequentItemsets, Itemset};
 use crate::stats::MiningStats;
 use crate::{ItemsetMiner, MinSupport, MiningResult};

@@ -22,7 +22,7 @@
 //! admitted to counting — batched per equivalence class so sequential
 //! and threaded runs admit identically.
 
-use crate::apriori::POLL_STRIDE;
+use crate::count::POLL_STRIDE;
 use crate::itemsets::{FrequentItemsets, Itemset};
 use crate::stats::MiningStats;
 use crate::{ItemsetMiner, MinSupport, MiningResult};

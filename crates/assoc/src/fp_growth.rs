@@ -23,14 +23,14 @@
 //! `2^p - 1` batch is admitted up front when the single-path shortcut
 //! fires).
 
-use crate::apriori::POLL_STRIDE;
+use crate::count::{self, POLL_STRIDE};
 use crate::itemsets::{FrequentItemsets, Itemset};
 use crate::stats::MiningStats;
 use crate::{ItemsetMiner, MinSupport, MiningResult};
 use dm_dataset::{DataError, TransactionDb};
 use dm_guard::{Guard, Outcome, TruncationReason};
 use dm_obs::HeapSize;
-use dm_par::{par_chunks_map_reduce_governed, Chunking, Parallelism};
+use dm_par::Parallelism;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -183,41 +183,6 @@ impl FpGrowth {
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self
-    }
-
-    /// Scan 1: per-item support counts (dense, sharded like Apriori's
-    /// first pass).
-    fn item_counts(
-        &self,
-        db: &TransactionDb,
-        guard: &Guard,
-    ) -> Result<Vec<usize>, TruncationReason> {
-        let n_items = db.n_items() as usize;
-        par_chunks_map_reduce_governed(
-            self.parallelism,
-            Chunking::PerThread,
-            db.transactions(),
-            guard,
-            || vec![0usize; n_items],
-            |shard| {
-                let mut counts = vec![0usize; n_items];
-                for (t, txn) in shard.iter().enumerate() {
-                    if t.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
-                        break;
-                    }
-                    for &item in txn {
-                        counts[item as usize] += 1;
-                    }
-                }
-                counts
-            },
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                a
-            },
-        )
     }
 
     /// Scan 2: the FP-tree over frequency ranks. Polls the guard every
@@ -418,27 +383,23 @@ impl ItemsetMiner for FpGrowth {
             }
             let counts = {
                 let _scan = obs.span("assoc.fp.scan");
-                Self::item_counts(self, db, guard)
+                count::item_counts_sharded(self.parallelism, db, guard)
             };
             let Ok(counts) = counts else {
                 break 'mine;
             };
             scan_time = t0.elapsed();
+            let l1 = count::frequent_items(&counts, min_count);
             // Frequency ranks: descending count, item id breaking ties,
             // so the ordering (and the tree) is deterministic.
-            let mut frequent: Vec<(u32, usize)> = counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c >= min_count)
-                .map(|(item, &c)| (item as u32, c))
-                .collect();
+            let mut frequent: Vec<(u32, usize)> = l1.iter().map(|(i, c)| (i[0], *c)).collect();
             frequent.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             let item_of_rank: Vec<u32> = frequent.iter().map(|&(item, _)| item).collect();
             let mut rank_of_item = vec![NIL; db.n_items() as usize];
             for (rank, &(item, _)) in frequent.iter().enumerate() {
                 rank_of_item[item as usize] = rank as u32;
             }
-            levels.push(frequent.iter().map(|&(item, c)| (vec![item], c)).collect());
+            levels.push(l1);
 
             let tree = {
                 let _build = obs.span("assoc.fp.build");

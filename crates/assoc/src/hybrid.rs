@@ -12,17 +12,16 @@
 //! pays off when at least one more pass follows (the caveat the paper
 //! itself notes).
 
-use crate::apriori::POLL_STRIDE;
 use crate::candidate::apriori_gen;
+use crate::count::{self, POLL_STRIDE};
+use crate::hash_tree::HashTree;
 use crate::itemsets::{FrequentItemsets, Itemset};
 use crate::stats::MiningStats;
 use crate::{Apriori, ItemsetMiner, MinSupport, MiningResult};
 use dm_dataset::transactions::is_subset_sorted;
 use dm_dataset::{DataError, TransactionDb};
-use dm_guard::{Guard, Outcome, TruncationReason};
-use dm_obs::HeapSize;
-use dm_par::{par_chunks_map_reduce_governed, Chunking, Parallelism};
-use std::collections::HashMap;
+use dm_guard::{Guard, Outcome};
+use dm_par::Parallelism;
 use std::time::Instant;
 
 /// Hybrid Apriori/AprioriTid miner with a support-mass switch heuristic.
@@ -94,7 +93,8 @@ impl ItemsetMiner for AprioriHybrid {
             // C̄ over pairs would dwarf the database), delegated to the
             // public miner — under the *same* guard, so its budget and
             // cancellation flow through.
-            let full = apriori.clone().with_max_len(2).mine_governed(db, guard)?;
+            let apriori_len = self.max_len.map_or(2, |m| m.min(2));
+            let full = apriori.with_max_len(apriori_len).mine_governed(db, guard)?;
             for p in &full.result.stats.passes {
                 // The delegated passes ran under `assoc.apriori.pass<k>`
                 // live spans; mirror their durations into this miner's
@@ -163,34 +163,35 @@ impl ItemsetMiner for AprioriHybrid {
                     tidlists = Some(lists);
                 }
 
-                let counted: Result<Vec<(Itemset, usize)>, TruncationReason> = match &mut tidlists {
+                let counted = match &mut tidlists {
                     // Apriori-style counting against the raw database.
-                    None => {
-                        apriori_count(self.parallelism, db, &candidates, k + 1, min_count, guard)
-                    }
-                    Some(lists) => {
-                        // AprioriTid-style join over C̄_k.
-                        tid_pass(&prev, &candidates, lists, min_count, guard).map(
-                            |(lk, next_lists)| {
-                                *lists = next_lists;
-                                lk
-                            },
-                        )
-                    }
+                    None => count::hash_tree_pass(
+                        self.parallelism,
+                        db,
+                        HashTree::build(candidates, k + 1, 8, 16),
+                        k + 1,
+                        min_count,
+                        guard,
+                        "apriori_hybrid",
+                    ),
+                    // AprioriTid-style join over C̄_k.
+                    Some(lists) => count::tid_join(
+                        &prev,
+                        candidates,
+                        lists,
+                        k + 1,
+                        min_count,
+                        guard,
+                        "apriori_hybrid",
+                    )
+                    .map(|(lk, next)| {
+                        *lists = next;
+                        lk
+                    }),
                 };
                 let Ok(frequent) = counted else {
                     break 'mine;
                 };
-                if obs.enabled() {
-                    if let Some(lists) = &tidlists {
-                        let ck = lists.heap_bytes() as f64;
-                        obs.gauge_max_fmt(
-                            format_args!("assoc.apriori_hybrid.pass{}.ck_mem_bytes", k + 1),
-                            ck,
-                        );
-                        obs.gauge_max("assoc.mem.ck_bytes", ck);
-                    }
-                }
                 drop(pass_span);
                 stats.push(k + 1, n_candidates, frequent.len(), t0.elapsed());
                 let done = frequent.is_empty();
@@ -213,136 +214,6 @@ impl ItemsetMiner for AprioriHybrid {
             stats,
         }))
     }
-}
-
-/// Hash-tree counting of `candidates` (size `k`) against the database,
-/// sharded Count Distribution-style when `par` allows. The guard is
-/// polled inside each shard (bounded cancellation latency) and checked
-/// once more after the merge.
-fn apriori_count(
-    par: Parallelism,
-    db: &TransactionDb,
-    candidates: &[Itemset],
-    k: usize,
-    min_count: usize,
-    guard: &Guard,
-) -> Result<Vec<(Itemset, usize)>, TruncationReason> {
-    let tree = crate::hash_tree::HashTree::build(candidates.to_vec(), k, 8, 16);
-    let obs = guard.obs();
-    if obs.enabled() {
-        let bytes = tree.heap_bytes() as f64;
-        obs.gauge_max_fmt(
-            format_args!("assoc.apriori_hybrid.pass{k}.hashtree_mem_bytes"),
-            bytes,
-        );
-        obs.gauge_max("assoc.mem.hashtree_bytes", bytes);
-    }
-    let state = par_chunks_map_reduce_governed(
-        par,
-        Chunking::PerThread,
-        db.transactions(),
-        guard,
-        || tree.new_count_state(),
-        |shard| {
-            let mut state = tree.new_count_state();
-            for (t, txn) in shard.iter().enumerate() {
-                if t.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
-                    break;
-                }
-                tree.count_transaction_into(txn, &mut state);
-            }
-            state
-        },
-        |mut a, b| {
-            a.absorb(&b);
-            a
-        },
-    )?;
-    guard.obs().counter_fmt(
-        format_args!("assoc.apriori_hybrid.pass{k}.hashtree_visits"),
-        state.node_visits(),
-    );
-    Ok(tree.into_frequent_with(state.counts(), min_count))
-}
-
-/// Frequent `(itemset, count)` pairs plus the next pass's `C̄` tid-lists.
-type TidPassOutput = (Vec<(Itemset, usize)>, Vec<Vec<u32>>);
-
-/// One AprioriTid join pass: counts `candidates` (generated from `prev`)
-/// via the candidate-id lists, returning the frequent sets and the next
-/// `C̄` (remapped to dense ids over the frequent candidates).
-fn tid_pass(
-    prev: &[Itemset],
-    candidates: &[Itemset],
-    tidlists: &[Vec<u32>],
-    min_count: usize,
-    guard: &Guard,
-) -> Result<TidPassOutput, TruncationReason> {
-    let prev_id: HashMap<&[u32], u32> = prev
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.as_slice(), i as u32))
-        .collect();
-    let mut generators: Vec<(u32, u32)> = Vec::with_capacity(candidates.len());
-    let mut by_g1: Vec<Vec<u32>> = vec![Vec::new(); prev.len()];
-    for (cid, cand) in candidates.iter().enumerate() {
-        let n = cand.len();
-        let mut g1 = cand.clone();
-        g1.remove(n - 1);
-        let mut g2 = cand.clone();
-        g2.remove(n - 2);
-        let id1 = prev_id[g1.as_slice()];
-        let id2 = prev_id[g2.as_slice()];
-        generators.push((id1, id2));
-        by_g1[id1 as usize].push(cid as u32);
-    }
-    let mut stamp = vec![u32::MAX; prev.len()];
-    let mut counts = vec![0usize; candidates.len()];
-    let mut next: Vec<Vec<u32>> = Vec::with_capacity(tidlists.len());
-    for (gen, ids) in tidlists.iter().enumerate() {
-        if gen.is_multiple_of(POLL_STRIDE) {
-            guard.check()?;
-        }
-        let gen = gen as u32;
-        for &id in ids {
-            stamp[id as usize] = gen;
-        }
-        let mut present = Vec::new();
-        for &id in ids {
-            for &cid in &by_g1[id as usize] {
-                let (_, g2) = generators[cid as usize];
-                if stamp[g2 as usize] == gen {
-                    counts[cid as usize] += 1;
-                    present.push(cid);
-                }
-            }
-        }
-        if !present.is_empty() {
-            present.sort_unstable();
-            next.push(present);
-        }
-    }
-    let mut new_id = vec![u32::MAX; candidates.len()];
-    let mut lk = Vec::new();
-    for (cid, cand) in candidates.iter().enumerate() {
-        if counts[cid] >= min_count {
-            new_id[cid] = lk.len() as u32;
-            lk.push((cand.clone(), counts[cid]));
-        }
-    }
-    for ids in &mut next {
-        ids.retain_mut(|cid| {
-            let mapped = new_id[*cid as usize];
-            if mapped == u32::MAX {
-                false
-            } else {
-                *cid = mapped;
-                true
-            }
-        });
-    }
-    next.retain(|ids| !ids.is_empty());
-    Ok((lk, next))
 }
 
 #[cfg(test)]
@@ -396,6 +267,22 @@ mod tests {
             .mine(&db)
             .unwrap();
         assert_eq!(r.itemsets.max_len(), 2);
+    }
+
+    #[test]
+    fn max_len_matches_apriori() {
+        let db = paper_db();
+        for max_len in 1..=3 {
+            let hybrid = AprioriHybrid::new(MinSupport::Count(2))
+                .with_max_len(max_len)
+                .mine(&db)
+                .unwrap();
+            let apriori = Apriori::new(MinSupport::Count(2))
+                .with_max_len(max_len)
+                .mine(&db)
+                .unwrap();
+            assert_eq!(hybrid.itemsets, apriori.itemsets, "max_len {max_len}");
+        }
     }
 
     #[test]

@@ -51,6 +51,7 @@ pub mod apriori;
 pub mod apriori_tid;
 pub mod brute;
 pub mod candidate;
+mod count;
 pub mod eclat;
 pub mod fp_growth;
 pub mod hash_tree;

@@ -86,13 +86,17 @@ impl Method {
                 Box::new(Apriori::new(min_support).with_parallelism(parallelism))
             }
             Method::AprioriTid => Box::new(AprioriTid::new(min_support)),
-            Method::Hybrid => Box::new(AprioriHybrid::new(min_support)),
+            Method::Hybrid => {
+                Box::new(AprioriHybrid::new(min_support).with_parallelism(parallelism))
+            }
             Method::FpGrowth => Box::new(FpGrowth::new(min_support).with_parallelism(parallelism)),
             Method::Eclat => Box::new(Eclat::new(min_support).with_parallelism(parallelism)),
         }
     }
 
-    /// The `name()` the resolved miner will report.
+    /// The label the `assoc.auto.resolved` event reports. For the
+    /// Apriori family it is the miner's metric tag (`apriori_tid`), not
+    /// its `name()` (`apriori-tid`).
     pub fn label(self) -> &'static str {
         match self {
             Method::Auto => "auto",
@@ -235,6 +239,21 @@ mod tests {
                 .unwrap(),
             Method::Eclat
         );
+    }
+
+    #[test]
+    fn hybrid_shards_at_the_requested_parallelism() {
+        let rec = std::sync::Arc::new(dm_obs::InMemoryRecorder::new());
+        let guard = Guard::unlimited().with_recorder(rec.clone());
+        mine_governed_with(
+            &paper_db(),
+            MinSupport::Count(2),
+            Method::Hybrid,
+            Parallelism::Threads(2),
+            &guard,
+        )
+        .unwrap();
+        assert!(rec.snapshot().counter("par.shard1.items").is_some());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! database at low supports, which is exactly the failure mode the
 //! paper's comparison (and experiment E1) exhibits.
 
-use crate::apriori::POLL_STRIDE;
+use crate::count::{self, POLL_STRIDE};
 use crate::itemsets::{FrequentItemsets, Itemset};
 use crate::stats::MiningStats;
 use crate::{ItemsetMiner, MinSupport, MiningResult};
@@ -69,21 +69,10 @@ impl ItemsetMiner for Setm {
             if guard.try_work(u64::from(db.n_items())).is_err() {
                 break 'mine;
             }
-            let mut counts = vec![0usize; db.n_items() as usize];
-            for (t, txn) in db.iter().enumerate() {
-                if t.is_multiple_of(POLL_STRIDE) && guard.should_stop() {
-                    break 'mine;
-                }
-                for &item in txn {
-                    counts[item as usize] += 1;
-                }
-            }
-            let l1: Vec<(Itemset, usize)> = counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c >= min_count)
-                .map(|(item, &c)| (vec![item as u32], c))
-                .collect();
+            let Ok(counts) = count::item_counts(db, guard) else {
+                break 'mine;
+            };
+            let l1 = count::frequent_items(&counts, min_count);
             let frequent_item = {
                 let mut f = vec![false; db.n_items() as usize];
                 for (items, _) in &l1 {

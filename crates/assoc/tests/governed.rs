@@ -10,6 +10,7 @@ use dm_assoc::{
 };
 use dm_dataset::TransactionDb;
 use dm_guard::{Budget, CancelToken, Guard, RunStatus, TruncationReason};
+use dm_par::Parallelism;
 use dm_synth::{QuestConfig, QuestGenerator};
 
 /// Synthetic workload big enough that low supports generate thousands of
@@ -43,7 +44,9 @@ fn all_miners(min: MinSupport) -> Vec<Box<dyn ItemsetMiner>> {
         Box::new(Setm::new(min)),
         Box::new(FpGrowth::new(min)),
         Box::new(Eclat::new(min)),
-        Box::new(Apriori::new(min).with_vertical_pass2(true)),
+        Box::new(Apriori::new(min).with_parallelism(Parallelism::Threads(2))),
+        Box::new(AprioriHybrid::new(min).with_parallelism(Parallelism::Threads(2))),
+        Box::new(FpGrowth::new(min).with_parallelism(Parallelism::Threads(2))),
     ]
 }
 
@@ -221,7 +224,6 @@ fn unlimited_guard_matches_ungoverned_run_exactly() {
 
 #[test]
 fn parallel_governed_mining_matches_sequential() {
-    use dm_par::Parallelism;
     let db = synthetic_db();
     for max_work in [512u64, 10_000] {
         let seq_guard = Guard::new(Budget::unlimited().with_max_work(max_work));

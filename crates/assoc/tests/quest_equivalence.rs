@@ -71,19 +71,6 @@ fn every_front_door_method_matches_the_brute_oracle() {
 }
 
 #[test]
-fn vertical_pass2_matches_on_quest() {
-    let db = quest(8.0, 3.0, 400, 11);
-    for min in [MinSupport::Fraction(0.02), MinSupport::Fraction(0.005)] {
-        let plain = Apriori::new(min).mine(&db).unwrap();
-        let vertical = Apriori::new(min)
-            .with_vertical_pass2(true)
-            .mine(&db)
-            .unwrap();
-        assert_eq!(plain.itemsets, vertical.itemsets, "{min:?}");
-    }
-}
-
-#[test]
 fn governed_unlimited_matches_ungoverned_for_new_miners() {
     let db = quest(6.0, 3.0, 300, 5);
     let min = MinSupport::Fraction(0.01);

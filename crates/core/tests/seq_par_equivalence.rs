@@ -102,25 +102,6 @@ fn eclat_matches_sequential() {
 }
 
 #[test]
-fn vertical_pass2_apriori_matches_sequential() {
-    let db = QuestGenerator::new(QuestConfig::standard(10.0, 4.0, 1_200), 9)
-        .unwrap()
-        .generate(41);
-    let reference = Apriori::new(MinSupport::Fraction(0.01))
-        .with_vertical_pass2(true)
-        .mine(&db)
-        .unwrap();
-    for par in settings() {
-        let got = Apriori::new(MinSupport::Fraction(0.01))
-            .with_vertical_pass2(true)
-            .with_parallelism(par)
-            .mine(&db)
-            .unwrap();
-        assert_eq!(got.itemsets, reference.itemsets, "{par:?}");
-    }
-}
-
-#[test]
 fn kmeans_model_is_bit_identical() {
     let (data, _) = GaussianMixture::new(vec![
         ClusterSpec::new(vec![0.0, 0.0, 0.0], 1.0, 700),

@@ -78,7 +78,9 @@ fn all_miners(min: MinSupport) -> Vec<Box<dyn ItemsetMiner>> {
         Box::new(Setm::new(min)),
         Box::new(FpGrowth::new(min)),
         Box::new(Eclat::new(min)),
-        Box::new(Apriori::new(min).with_vertical_pass2(true)),
+        Box::new(Apriori::new(min).with_parallelism(Parallelism::Threads(2))),
+        Box::new(AprioriHybrid::new(min).with_parallelism(Parallelism::Threads(2))),
+        Box::new(FpGrowth::new(min).with_parallelism(Parallelism::Threads(2))),
     ]
 }
 
@@ -228,5 +230,24 @@ proptest! {
             reason,
             |a, b| assert_eq!(a.snapshot(), b.snapshot()),
         );
+    }
+}
+
+/// Property 2 on a database long enough for a scan to poll the guard more
+/// than once: a trip part-way through a counting pass voids the pass, so
+/// no itemset keeps the count of a partly scanned database.
+#[test]
+fn trips_inside_long_scans_never_leave_partial_counts() {
+    let db = QuestGenerator::new(QuestConfig::standard(6.0, 3.0, 700), 3)
+        .unwrap()
+        .generate(5);
+    for miner in all_miners(MinSupport::Count(10)) {
+        let full = miner.mine(&db).unwrap();
+        for trip_at in 0..8 {
+            let guard = Guard::unlimited().with_failpoint(trip_at, TruncationReason::Cancelled);
+            let out = miner.mine_governed(&db, &guard).unwrap();
+            assert!(out.result.itemsets.verify_downward_closure());
+            assert_subset(&out.result.itemsets, &full.itemsets);
+        }
     }
 }
