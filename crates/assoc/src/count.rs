@@ -10,9 +10,9 @@
 use crate::hash_tree::HashTree;
 use crate::itemsets::Itemset;
 use dm_dataset::TransactionDb;
-use dm_guard::{Guard, RunStatus, TruncationReason};
+use dm_guard::{Guard, TruncationReason};
 use dm_obs::HeapSize;
-use dm_par::{par_chunks_map_reduce_governed, Chunking, Parallelism};
+use dm_par::{par_range_map_reduce_governed, Chunking, Parallelism};
 use std::collections::HashMap;
 
 /// How many transactions (or tid-lists) a scan processes between guard
@@ -47,26 +47,22 @@ pub(crate) fn sharded<A: Send>(
     visit: impl Fn(&mut A, &[u32]) + Sync,
     merge: impl Fn(A, A) -> A,
 ) -> Result<A, TruncationReason> {
-    let acc = par_chunks_map_reduce_governed(
+    let txns = db.transactions();
+    par_range_map_reduce_governed(
         par,
         Chunking::PerThread,
-        db.transactions(),
+        txns.len(),
         guard,
         &new,
         |shard| {
             let mut acc = new();
-            // A stopped shard hands back what it counted; the status
-            // check below voids the pass. Reading the latched status
-            // polls no fail point, so check sites stay where they were.
-            let _ = scan(shard, guard, &mut acc, &visit);
+            // A stopped shard hands back what it counted; the trip it
+            // latched voids the whole pass in `dm_par`.
+            let _ = scan(&txns[shard], guard, &mut acc, &visit);
             acc
         },
         merge,
-    )?;
-    match guard.status() {
-        RunStatus::Complete => Ok(acc),
-        RunStatus::Truncated(reason) => Err(reason),
-    }
+    )
 }
 
 /// Sums the right-hand count vector into the left one (per-shard

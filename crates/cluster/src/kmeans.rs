@@ -7,9 +7,7 @@ use crate::{Clusterer, Clustering};
 use dm_dataset::matrix::euclidean_sq;
 use dm_dataset::{DataError, Matrix};
 use dm_guard::{Guard, Outcome};
-use dm_par::{
-    par_chunks_for_each_mut, par_chunks_map_reduce, par_range_map_reduce, Chunking, Parallelism,
-};
+use dm_par::{par_chunks_for_each_mut, par_range_map_reduce, Chunking, Parallelism};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -189,12 +187,12 @@ impl KMeans {
                 for c in 1..self.k {
                     // Fixed chunks: the chunked sum is the same f64 for
                     // every Parallelism setting.
-                    let total: f64 = par_chunks_map_reduce(
+                    let total: f64 = par_range_map_reduce(
                         par,
                         Chunking::Fixed(ROW_CHUNK),
-                        &dist2,
+                        n,
                         || 0.0f64,
-                        |chunk| chunk.iter().sum::<f64>(),
+                        |r| dist2[r].iter().sum::<f64>(),
                         |a, b| a + b,
                     );
                     let chosen = if total <= 0.0 {

@@ -1,18 +1,20 @@
 //! Sequential/parallel equivalence: for every wired kernel, mining or
-//! fitting under `Threads(4)` must produce output identical — bit for
-//! bit where floats are involved — to `Sequential`. This is the
-//! contract `dm_par` promises (fixed chunk boundaries, in-order
-//! merges); these tests enforce it end to end on seeded synthetic
-//! workloads.
+//! fitting under `Threads(1)` to `Threads(4)` and `Auto` must produce
+//! output identical — bit for bit where floats are involved — to
+//! `Sequential`. This is the contract `dm_par` promises (fixed chunk
+//! boundaries, in-order merges); these tests enforce it end to end on
+//! seeded synthetic workloads.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use dm_core::par::Parallelism;
 use dm_core::prelude::*;
 
-fn settings() -> [Parallelism; 3] {
+fn settings() -> [Parallelism; 5] {
     [
         Parallelism::Threads(1),
+        Parallelism::Threads(2),
+        Parallelism::Threads(3),
         Parallelism::Threads(4),
         Parallelism::Auto,
     ]

@@ -6,12 +6,14 @@
 //!
 //! ## Execution model
 //!
-//! Work is expressed as *chunked map-reduce*: the input slice is cut
-//! into chunks, each chunk is mapped to a partial accumulator, and the
-//! partials are merged **in chunk order** (a left fold starting from
-//! `identity()`). Threads claim contiguous blocks of chunks, so the
-//! only effect of the thread count is *where* chunks execute — never
-//! which chunks exist or the order their results merge in.
+//! Work is expressed as *chunked map-reduce* over an index range: the
+//! range `0..len` is cut into chunks, each chunk is mapped to a partial
+//! accumulator, and the partials are merged **in chunk order** (a left
+//! fold starting from `identity()`); a slice kernel maps `&items[r]`.
+//! Threads claim contiguous blocks of chunks, so the only effect of the
+//! thread count is *where* chunks execute — never which chunks exist or
+//! the order their results merge in. One private driver runs every
+//! map-reduce kernel, governed or not, and [`par_map_indexed`] too.
 //!
 //! ## Determinism guarantee
 //!
@@ -32,10 +34,12 @@
 //!   merge by integer summation. Cheaper than `Fixed` when the
 //!   accumulator is large (one merge per thread instead of per chunk).
 //!
-//! Equivalence tests in `dm-core` assert `Threads(4)` output equals
-//! `Sequential` output exactly for Apriori, k-means, decision trees,
-//! and kNN; a property test in `dm-core` checks the fold/merge algebra
-//! over random chunk sizes.
+//! Equivalence tests in `dm-core` (`seq_par_equivalence.rs`) assert that
+//! `Threads(1)` to `Threads(4)` and `Auto` give exactly the `Sequential`
+//! output for Apriori, AprioriHybrid, FP-Growth, Eclat, k-means, stream
+//! k-means, decision trees and kNN; a property test in `dm-core` checks
+//! the fold/merge algebra over random chunk sizes, and that a governed
+//! pass is either voided or equal to the ungoverned one.
 //!
 //! ## Choosing a [`Parallelism`]
 //!
@@ -57,8 +61,10 @@
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-use dm_guard::{Guard, TruncationReason};
+use dm_guard::{Guard, RunStatus, TruncationReason};
 use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::time::Instant;
 
 /// How many worker threads a parallel kernel may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -85,7 +91,7 @@ impl Parallelism {
     }
 }
 
-/// How the input slice is cut into chunks (see the module docs for the
+/// How the input is cut into chunks (see the module docs for the
 /// determinism trade-off between the two).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Chunking {
@@ -100,7 +106,7 @@ pub enum Chunking {
 }
 
 /// Nanoseconds since `t0`, saturating at `u64::MAX`.
-fn elapsed_ns(t0: std::time::Instant) -> u64 {
+fn elapsed_ns(t0: Instant) -> u64 {
     t0.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
@@ -113,194 +119,86 @@ fn layout(len: usize, chunking: Chunking, threads: usize) -> (usize, usize) {
     (chunk, len.div_ceil(chunk))
 }
 
-/// Chunked map-reduce over `items`.
+/// The driver behind every map-reduce kernel: cuts `0..len` per
+/// `chunking`, maps each chunk's range, and left-folds the partials in
+/// chunk order from `identity()`. One effective thread (or one chunk)
+/// runs the same chunks on the calling thread with no result slots;
+/// otherwise each worker fills a contiguous block of per-chunk slots.
 ///
-/// Cuts `items` into chunks per `chunking`, maps every chunk with
-/// `map`, and left-folds the partial results **in chunk order** with
-/// `merge`, starting from `identity()`. With `Parallelism::Sequential`
-/// (or one effective thread, or a single chunk) everything runs on the
-/// calling thread through the *same* chunk structure, which is what
-/// makes the parallel and sequential results comparable bit-for-bit
-/// under [`Chunking::Fixed`].
-///
-/// Empty input returns `identity()` without calling `map`.
-pub fn par_chunks_map_reduce<T, A>(
-    par: Parallelism,
-    chunking: Chunking,
-    items: &[T],
-    identity: impl Fn() -> A,
-    map: impl Fn(&[T]) -> A + Sync,
-    merge: impl Fn(A, A) -> A,
-) -> A
-where
-    T: Sync,
-    A: Send,
-{
-    let len = items.len();
-    if len == 0 {
-        return identity();
-    }
-    let threads = par.effective_threads();
-    let (chunk, n_chunks) = layout(len, chunking, threads);
-    if threads == 1 || n_chunks == 1 {
-        return items
-            .chunks(chunk)
-            .fold(identity(), |acc, c| merge(acc, map(c)));
-    }
-
-    // Each worker fills a contiguous block of per-chunk result slots, so
-    // the slot vector can be handed out with `chunks_mut` — no locks.
-    let mut slots: Vec<Option<A>> = (0..n_chunks).map(|_| None).collect();
-    let per_worker = n_chunks.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (w, block) in slots.chunks_mut(per_worker).enumerate() {
-            let map = &map;
-            s.spawn(move || {
-                for (j, slot) in block.iter_mut().enumerate() {
-                    let ci = w * per_worker + j;
-                    let lo = ci * chunk;
-                    let hi = (lo + chunk).min(len);
-                    *slot = Some(map(&items[lo..hi]));
-                }
-            });
-        }
-    });
-    // Every slot is Some: the worker loops above fill their whole block
-    // unconditionally, so `flatten` drops nothing and keeps the fold
-    // panic-free.
-    debug_assert!(slots.iter().all(Option::is_some));
-    slots.into_iter().flatten().fold(identity(), merge)
-}
-
-/// Chunked map-reduce over the index range `0..len`.
-///
-/// The range analogue of [`par_chunks_map_reduce`], for kernels whose
-/// input is indexed rather than sliced (matrix rows, query ids): the
-/// range is cut into sub-ranges per `chunking`, `map` receives each
-/// sub-range, and partials merge **in range order** from `identity()`.
-/// The same determinism regimes apply ([`Chunking::Fixed`] is
-/// bit-identical across every [`Parallelism`] setting for any merge).
-pub fn par_range_map_reduce<A>(
+/// With a guard, the pass and every chunk are preceded by a check site,
+/// a threaded pass ends with one more, and `par.shard*` telemetry is
+/// recorded when the guard carries a recorder. A trip latched by the end
+/// of the pass voids it at every thread count. Without a guard nothing
+/// is polled or recorded, so the result is always `Ok`.
+fn drive<A: Send>(
     par: Parallelism,
     chunking: Chunking,
     len: usize,
+    guard: Option<&Guard>,
     identity: impl Fn() -> A,
-    map: impl Fn(std::ops::Range<usize>) -> A + Sync,
+    map: impl Fn(Range<usize>) -> A + Sync,
     merge: impl Fn(A, A) -> A,
-) -> A
-where
-    A: Send,
-{
-    if len == 0 {
-        return identity();
-    }
-    let threads = par.effective_threads();
-    let (chunk, n_chunks) = layout(len, chunking, threads);
-    if threads == 1 || n_chunks == 1 {
-        return (0..n_chunks).fold(identity(), |acc, ci| {
-            let lo = ci * chunk;
-            merge(acc, map(lo..(lo + chunk).min(len)))
-        });
-    }
-    let mut slots: Vec<Option<A>> = (0..n_chunks).map(|_| None).collect();
-    let per_worker = n_chunks.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (w, block) in slots.chunks_mut(per_worker).enumerate() {
-            let map = &map;
-            s.spawn(move || {
-                for (j, slot) in block.iter_mut().enumerate() {
-                    let ci = w * per_worker + j;
-                    let lo = ci * chunk;
-                    *slot = Some(map(lo..(lo + chunk).min(len)));
-                }
-            });
-        }
-    });
-    // Every slot is Some: the worker loops above fill their whole block
-    // unconditionally, so `flatten` drops nothing and keeps the fold
-    // panic-free.
-    debug_assert!(slots.iter().all(Option::is_some));
-    slots.into_iter().flatten().fold(identity(), merge)
-}
-
-/// Governed chunked map-reduce: [`par_chunks_map_reduce`] under a
-/// [`Guard`].
-///
-/// Every worker polls the guard before each chunk, so a cross-thread
-/// cancel (or a deadline / armed fail point) stops all shards within one
-/// chunk of work. If the guard trips at any point — including between the
-/// last chunk and the final merge — the whole pass is abandoned and the
-/// trip reason returned; partial per-chunk results are never merged, so a
-/// caller either gets the exact ungoverned result of the pass or a clean
-/// trip it can translate into its own partial result. With an unlimited,
-/// untripped guard the result is bit-identical to the ungoverned
-/// function's (same chunk structure, same in-order merge).
-pub fn par_chunks_map_reduce_governed<T, A>(
-    par: Parallelism,
-    chunking: Chunking,
-    items: &[T],
-    guard: &Guard,
-    identity: impl Fn() -> A,
-    map: impl Fn(&[T]) -> A + Sync,
-    merge: impl Fn(A, A) -> A,
-) -> Result<A, TruncationReason>
-where
-    T: Sync,
-    A: Send,
-{
-    let len = items.len();
-    guard.check()?;
+) -> Result<A, TruncationReason> {
+    let check = || guard.map_or(Ok(()), Guard::check);
+    check()?;
     if len == 0 {
         return Ok(identity());
     }
     let threads = par.effective_threads();
     let (chunk, n_chunks) = layout(len, chunking, threads);
+    let range = |ci: usize| ci * chunk..((ci + 1) * chunk).min(len);
     // Per-shard telemetry (`par.shard<w>.{busy_ns,items}`) is collected
     // only when the guard carries a recorder, so the ungoverned/noop
     // path never reads the clock.
-    let obs = guard.obs();
-    let recorded = obs.enabled();
+    let obs = guard.map(Guard::obs);
+    let recorded = obs.is_some_and(|o| o.enabled());
     if threads == 1 || n_chunks == 1 {
-        let t0 = recorded.then(std::time::Instant::now);
-        let _shard_span = obs.span("par.shard0");
+        let t0 = recorded.then(Instant::now);
+        let _shard_span = obs.map(|o| o.span("par.shard0"));
         let mut acc = identity();
-        for c in items.chunks(chunk) {
-            guard.check()?;
-            acc = merge(acc, map(c));
+        for ci in 0..n_chunks {
+            check()?;
+            acc = merge(acc, map(range(ci)));
         }
-        if let Some(t0) = t0 {
-            obs.counter("par.shard0.items", len as u64);
-            obs.counter("par.shard0.busy_ns", elapsed_ns(t0));
-            obs.value("par.shard.items", len as u64);
+        if let (Some(o), Some(t0)) = (obs, t0) {
+            o.counter("par.shard0.items", len as u64);
+            o.counter("par.shard0.busy_ns", elapsed_ns(t0));
+            o.value("par.shard.items", len as u64);
         }
-        return Ok(acc);
+        // A map that stops early on a trip hands back a partial result;
+        // the latched status voids it. Reading the status polls no fail
+        // point, so the check sites stay the ones above.
+        return match guard.map(Guard::status) {
+            Some(RunStatus::Truncated(reason)) => Err(reason),
+            _ => Ok(acc),
+        };
     }
     // Shard spans cannot inherit the caller's span through the worker
     // threads' (empty) span stacks — hand the parent over explicitly.
-    let parent = obs.current_span();
+    let parent = obs.map(|o| o.current_span());
     let mut slots: Vec<Option<A>> = (0..n_chunks).map(|_| None).collect();
     let per_worker = n_chunks.div_ceil(threads);
     std::thread::scope(|s| {
         for (w, block) in slots.chunks_mut(per_worker).enumerate() {
             let map = &map;
             s.spawn(move || {
-                let t0 = recorded.then(std::time::Instant::now);
-                let _shard_span = obs.span_child_fmt(format_args!("par.shard{w}"), parent);
+                let t0 = recorded.then(Instant::now);
+                let _shard_span = obs
+                    .zip(parent)
+                    .map(|(o, p)| o.span_child_fmt(format_args!("par.shard{w}"), p));
                 let mut items_done = 0u64;
                 for (j, slot) in block.iter_mut().enumerate() {
-                    if guard.should_stop() {
+                    if guard.is_some_and(Guard::should_stop) {
                         break;
                     }
-                    let ci = w * per_worker + j;
-                    let lo = ci * chunk;
-                    let hi = (lo + chunk).min(len);
-                    items_done += (hi - lo) as u64;
-                    *slot = Some(map(&items[lo..hi]));
+                    let r = range(w * per_worker + j);
+                    items_done += r.len() as u64;
+                    *slot = Some(map(r));
                 }
-                if let Some(t0) = t0 {
-                    obs.counter_fmt(format_args!("par.shard{w}.items"), items_done);
-                    obs.counter_fmt(format_args!("par.shard{w}.busy_ns"), elapsed_ns(t0));
-                    obs.value("par.shard.items", items_done);
+                if let (Some(o), Some(t0)) = (obs, t0) {
+                    o.counter_fmt(format_args!("par.shard{w}.items"), items_done);
+                    o.counter_fmt(format_args!("par.shard{w}.busy_ns"), elapsed_ns(t0));
+                    o.value("par.shard.items", items_done);
                 }
             });
         }
@@ -308,125 +206,95 @@ where
     // A final check catches trips that raced with the last chunks: if it
     // fails, some slots may be empty and the pass is void; if it
     // succeeds, no worker ever observed a trip and every slot is filled.
-    guard.check()?;
+    check()?;
     debug_assert!(slots.iter().all(Option::is_some));
     Ok(slots.into_iter().flatten().fold(identity(), merge))
 }
 
+/// Chunked map-reduce over the index range `0..len`.
+///
+/// Cuts the range into sub-ranges per `chunking`, maps every sub-range
+/// with `map`, and left-folds the partial results **in range order**
+/// with `merge`, starting from `identity()`; a slice kernel maps
+/// `&items[r]`. With `Parallelism::Sequential` (or one effective
+/// thread, or a single chunk) everything runs on the calling thread
+/// through the *same* chunk structure, which is what makes the parallel
+/// and sequential results comparable bit-for-bit under
+/// [`Chunking::Fixed`].
+///
+/// An empty range returns `identity()` without calling `map`.
+pub fn par_range_map_reduce<A: Send>(
+    par: Parallelism,
+    chunking: Chunking,
+    len: usize,
+    identity: impl Fn() -> A,
+    map: impl Fn(Range<usize>) -> A + Sync,
+    merge: impl Fn(A, A) -> A,
+) -> A {
+    match drive(par, chunking, len, None, identity, map, merge) {
+        Ok(acc) => acc,
+        Err(_) => unreachable!("a pass without a guard cannot trip"),
+    }
+}
+
 /// Governed range map-reduce: [`par_range_map_reduce`] under a
-/// [`Guard`], with the same per-chunk polling, all-or-nothing pass
-/// semantics, and unlimited-guard bit-identity as
-/// [`par_chunks_map_reduce_governed`].
-pub fn par_range_map_reduce_governed<A>(
+/// [`Guard`].
+///
+/// The guard is polled before the pass and before every chunk (by every
+/// worker), and once more after a threaded pass, so a cross-thread
+/// cancel (or a deadline / armed fail point) stops all shards within one
+/// chunk of work. If the guard is latched as tripped when the pass ends
+/// — by a poll, by another thread, or by `map` itself (say, through
+/// [`Guard::try_work`]) — the pass returns the trip reason at every
+/// thread count; partial per-chunk results are never returned, so a
+/// caller either gets the exact ungoverned result of the pass or a clean
+/// trip it can translate into its own partial result. With an unlimited,
+/// untripped guard the result is bit-identical to the ungoverned
+/// function's (same chunk structure, same in-order merge).
+pub fn par_range_map_reduce_governed<A: Send>(
     par: Parallelism,
     chunking: Chunking,
     len: usize,
     guard: &Guard,
     identity: impl Fn() -> A,
-    map: impl Fn(std::ops::Range<usize>) -> A + Sync,
+    map: impl Fn(Range<usize>) -> A + Sync,
     merge: impl Fn(A, A) -> A,
-) -> Result<A, TruncationReason>
-where
-    A: Send,
-{
-    guard.check()?;
-    if len == 0 {
-        return Ok(identity());
-    }
-    let threads = par.effective_threads();
-    let (chunk, n_chunks) = layout(len, chunking, threads);
-    let obs = guard.obs();
-    let recorded = obs.enabled();
-    if threads == 1 || n_chunks == 1 {
-        let t0 = recorded.then(std::time::Instant::now);
-        let _shard_span = obs.span("par.shard0");
-        let mut acc = identity();
-        for ci in 0..n_chunks {
-            guard.check()?;
-            let lo = ci * chunk;
-            acc = merge(acc, map(lo..(lo + chunk).min(len)));
-        }
-        if let Some(t0) = t0 {
-            obs.counter("par.shard0.items", len as u64);
-            obs.counter("par.shard0.busy_ns", elapsed_ns(t0));
-            obs.value("par.shard.items", len as u64);
-        }
-        return Ok(acc);
-    }
-    let parent = obs.current_span();
-    let mut slots: Vec<Option<A>> = (0..n_chunks).map(|_| None).collect();
-    let per_worker = n_chunks.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (w, block) in slots.chunks_mut(per_worker).enumerate() {
-            let map = &map;
-            s.spawn(move || {
-                let t0 = recorded.then(std::time::Instant::now);
-                let _shard_span = obs.span_child_fmt(format_args!("par.shard{w}"), parent);
-                let mut items_done = 0u64;
-                for (j, slot) in block.iter_mut().enumerate() {
-                    if guard.should_stop() {
-                        break;
-                    }
-                    let ci = w * per_worker + j;
-                    let lo = ci * chunk;
-                    let hi = (lo + chunk).min(len);
-                    items_done += (hi - lo) as u64;
-                    *slot = Some(map(lo..hi));
-                }
-                if let Some(t0) = t0 {
-                    obs.counter_fmt(format_args!("par.shard{w}.items"), items_done);
-                    obs.counter_fmt(format_args!("par.shard{w}.busy_ns"), elapsed_ns(t0));
-                    obs.value("par.shard.items", items_done);
-                }
-            });
-        }
-    });
-    guard.check()?;
-    debug_assert!(slots.iter().all(Option::is_some));
-    Ok(slots.into_iter().flatten().fold(identity(), merge))
+) -> Result<A, TruncationReason> {
+    drive(par, chunking, len, Some(guard), identity, map, merge)
 }
 
 /// Parallel index-preserving map: returns `f(0, &items[0]), f(1, ..) ..`
 /// in input order.
 ///
-/// Every element is mapped independently, so the result is identical
-/// for every [`Parallelism`] setting by construction.
-pub fn par_map_indexed<T, U>(
+/// Every element is mapped independently, one [`Chunking::PerThread`]
+/// chunk per thread, so the result is identical for every
+/// [`Parallelism`] setting by construction.
+pub fn par_map_indexed<T: Sync, U: Send>(
     par: Parallelism,
     items: &[T],
     f: impl Fn(usize, &T) -> U + Sync,
-) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-{
-    let len = items.len();
-    let threads = par.effective_threads();
-    if threads == 1 || len < 2 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-    let mut out: Vec<Option<U>> = (0..len).map(|_| None).collect();
-    let per_worker = len.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (w, block) in out.chunks_mut(per_worker).enumerate() {
-            let f = &f;
-            s.spawn(move || {
-                for (j, slot) in block.iter_mut().enumerate() {
-                    let i = w * per_worker + j;
-                    *slot = Some(f(i, &items[i]));
-                }
-            });
-        }
-    });
-    debug_assert!(out.iter().all(Option::is_some));
-    out.into_iter().flatten().collect()
+) -> Vec<U> {
+    par_range_map_reduce(
+        par,
+        Chunking::PerThread,
+        items.len(),
+        Vec::new,
+        |r| r.map(|i| f(i, &items[i])).collect(),
+        |mut a, mut b| {
+            if a.is_empty() {
+                return b;
+            }
+            a.append(&mut b);
+            a
+        },
+    )
 }
 
 /// Parallel in-place transform over disjoint mutable chunks: `f`
 /// receives each chunk and the index of its first element.
 ///
 /// Chunk boundaries follow `chunking` exactly as in
-/// [`par_chunks_map_reduce`]; since every element belongs to one chunk
+/// [`par_range_map_reduce`]; since every element belongs to one chunk
 /// and `f` only sees disjoint `&mut` slices, the result is identical
 /// for every [`Parallelism`] setting whenever `f` writes each element
 /// as a pure function of its pre-call state.
@@ -469,11 +337,12 @@ pub fn par_chunks_for_each_mut<T>(
 mod tests {
     use super::*;
 
-    fn settings() -> [Parallelism; 5] {
+    fn settings() -> [Parallelism; 6] {
         [
             Parallelism::Sequential,
             Parallelism::Threads(1),
             Parallelism::Threads(2),
+            Parallelism::Threads(3),
             Parallelism::Threads(4),
             Parallelism::Auto,
         ]
@@ -489,16 +358,16 @@ mod tests {
 
     #[test]
     fn map_reduce_sums_match_sequential_fold() {
-        let items: Vec<u64> = (0..10_000).collect();
+        let items: Vec<u64> = (0..9_973).map(|i| i * 7 + 1).collect();
         let expected: u64 = items.iter().sum();
         for par in settings() {
             for chunking in [Chunking::Fixed(1), Chunking::Fixed(97), Chunking::PerThread] {
-                let got = par_chunks_map_reduce(
+                let got = par_range_map_reduce(
                     par,
                     chunking,
-                    &items,
+                    items.len(),
                     || 0u64,
-                    |chunk| chunk.iter().sum::<u64>(),
+                    |r| items[r].iter().sum::<u64>(),
                     |a, b| a + b,
                 );
                 assert_eq!(got, expected, "{par:?} {chunking:?}");
@@ -506,30 +375,40 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fixed_chunking_is_bit_identical_even_for_floats() {
-        // A deliberately association-sensitive reduction: alternating
-        // magnitudes so float rounding depends on grouping.
+    /// `Chunking::Fixed(61)` sum of an association-sensitive input:
+    /// alternating magnitudes, so float rounding depends on grouping.
+    fn float_sum(par: Parallelism, guard: Option<&Guard>) -> Result<f64, TruncationReason> {
         let items: Vec<f64> = (0..5_000)
             .map(|i| if i % 2 == 0 { 1e16 } else { 1.0 })
             .collect();
-        let reference = par_chunks_map_reduce(
-            Parallelism::Sequential,
-            Chunking::Fixed(61),
-            &items,
-            || 0.0f64,
-            |chunk| chunk.iter().sum::<f64>(),
-            |a, b| a + b,
-        );
-        for par in settings() {
-            let got = par_chunks_map_reduce(
+        let map = |r: Range<usize>| items[r].iter().sum::<f64>();
+        let merge = |a: f64, b: f64| a + b;
+        match guard {
+            Some(g) => par_range_map_reduce_governed(
                 par,
                 Chunking::Fixed(61),
-                &items,
-                || 0.0f64,
-                |chunk| chunk.iter().sum::<f64>(),
-                |a, b| a + b,
-            );
+                items.len(),
+                g,
+                || 0.0,
+                map,
+                merge,
+            ),
+            None => Ok(par_range_map_reduce(
+                par,
+                Chunking::Fixed(61),
+                items.len(),
+                || 0.0,
+                map,
+                merge,
+            )),
+        }
+    }
+
+    #[test]
+    fn fixed_chunking_is_bit_identical_even_for_floats() {
+        let reference = float_sum(Parallelism::Sequential, None).unwrap();
+        for par in settings() {
+            let got = float_sum(par, None).unwrap();
             assert_eq!(got.to_bits(), reference.to_bits(), "{par:?}");
         }
     }
@@ -538,72 +417,36 @@ mod tests {
     fn merge_runs_in_chunk_order() {
         // Concatenation is associative but not commutative: order of
         // merges is observable.
-        let items: Vec<u32> = (0..1_000).collect();
-        let expected: Vec<u32> = items.clone();
         for par in settings() {
-            let got = par_chunks_map_reduce(
-                par,
-                Chunking::Fixed(37),
-                &items,
-                Vec::new,
-                |chunk| chunk.to_vec(),
-                |mut a, mut b| {
-                    a.append(&mut b);
-                    a
-                },
-            );
-            assert_eq!(got, expected, "{par:?}");
+            for chunking in [Chunking::Fixed(37), Chunking::PerThread] {
+                let got = par_range_map_reduce(
+                    par,
+                    chunking,
+                    1_000,
+                    Vec::new,
+                    |r| r.collect::<Vec<usize>>(),
+                    |mut a, mut b| {
+                        a.append(&mut b);
+                        a
+                    },
+                );
+                assert_eq!(got, (0..1_000).collect::<Vec<_>>(), "{par:?}");
+            }
         }
     }
 
     #[test]
     fn empty_input_returns_identity() {
-        let items: [u64; 0] = [];
         for par in settings() {
-            let got = par_chunks_map_reduce(
+            let got = par_range_map_reduce(
                 par,
                 Chunking::PerThread,
-                &items,
+                0,
                 || 41u64,
                 |_| panic!("map must not run on empty input"),
                 |_, _| panic!("merge must not run on empty input"),
             );
             assert_eq!(got, 41);
-        }
-    }
-
-    #[test]
-    fn range_map_reduce_matches_slice_version() {
-        let items: Vec<u64> = (0..9_973).map(|i| i * 7 + 1).collect();
-        let expected: u64 = items.iter().sum();
-        for par in settings() {
-            for chunking in [Chunking::Fixed(101), Chunking::PerThread] {
-                let got = par_range_map_reduce(
-                    par,
-                    chunking,
-                    items.len(),
-                    || 0u64,
-                    |range| range.map(|i| items[i]).sum::<u64>(),
-                    |a, b| a + b,
-                );
-                assert_eq!(got, expected, "{par:?} {chunking:?}");
-            }
-        }
-        // Order-sensitive merge: concatenated ranges must cover 0..len
-        // in order for every setting.
-        for par in settings() {
-            let got = par_range_map_reduce(
-                par,
-                Chunking::Fixed(37),
-                1_000,
-                Vec::new,
-                |range| range.collect::<Vec<usize>>(),
-                |mut a, mut b| {
-                    a.append(&mut b);
-                    a
-                },
-            );
-            assert_eq!(got, (0..1_000).collect::<Vec<_>>(), "{par:?}");
         }
     }
 
@@ -639,60 +482,28 @@ mod tests {
 
     #[test]
     fn governed_unlimited_is_bit_identical_to_ungoverned() {
-        let items: Vec<f64> = (0..5_000)
-            .map(|i| if i % 2 == 0 { 1e16 } else { 1.0 })
-            .collect();
-        let reference = par_chunks_map_reduce(
-            Parallelism::Sequential,
-            Chunking::Fixed(61),
-            &items,
-            || 0.0f64,
-            |chunk| chunk.iter().sum::<f64>(),
-            |a, b| a + b,
-        );
+        let reference = float_sum(Parallelism::Sequential, None).unwrap();
         for par in settings() {
-            let guard = Guard::unlimited();
-            let got = par_chunks_map_reduce_governed(
-                par,
-                Chunking::Fixed(61),
-                &items,
-                &guard,
-                || 0.0f64,
-                |chunk| chunk.iter().sum::<f64>(),
-                |a, b| a + b,
-            )
-            .unwrap();
+            let got = float_sum(par, Some(&Guard::unlimited())).unwrap();
             assert_eq!(got.to_bits(), reference.to_bits(), "{par:?}");
-            let got = par_range_map_reduce_governed(
-                par,
-                Chunking::Fixed(61),
-                items.len(),
-                &guard,
-                || 0.0f64,
-                |r| r.map(|i| items[i]).sum::<f64>(),
-                |a, b| a + b,
-            )
-            .unwrap();
-            assert_eq!(got.to_bits(), reference.to_bits(), "{par:?} (range)");
         }
     }
 
     #[test]
     fn governed_pass_aborts_on_pre_cancelled_guard() {
-        let items: Vec<u64> = (0..100).collect();
         for par in settings() {
             let guard = Guard::unlimited();
             guard.cancel_token().cancel();
-            let got = par_chunks_map_reduce_governed(
+            let got = par_range_map_reduce_governed(
                 par,
                 Chunking::Fixed(7),
-                &items,
+                100,
                 &guard,
-                || 0u64,
-                |c| c.iter().sum(),
+                || 0usize,
+                |r| r.sum(),
                 |a, b| a + b,
             );
-            assert_eq!(got, Err(dm_guard::TruncationReason::Cancelled), "{par:?}");
+            assert_eq!(got, Err(TruncationReason::Cancelled), "{par:?}");
         }
     }
 
@@ -700,40 +511,39 @@ mod tests {
     fn governed_workers_observe_mid_run_cancel() {
         // Cancel from inside the map closure: later chunks must be
         // skipped without panicking, and the pass must report the trip.
-        let items: Vec<u64> = (0..10_000).collect();
         for par in settings() {
             let guard = Guard::unlimited();
             let token = guard.cancel_token();
-            let got = par_chunks_map_reduce_governed(
+            let got = par_range_map_reduce_governed(
                 par,
                 Chunking::Fixed(64),
-                &items,
+                10_000,
                 &guard,
-                || 0u64,
-                |c| {
-                    if c[0] >= 1_024 {
+                || 0usize,
+                |r| {
+                    if r.start >= 1_024 {
                         token.cancel();
                     }
-                    c.iter().sum()
+                    r.sum()
                 },
                 |a, b| a + b,
             );
-            assert_eq!(got, Err(dm_guard::TruncationReason::Cancelled), "{par:?}");
+            assert_eq!(got, Err(TruncationReason::Cancelled), "{par:?}");
         }
     }
 
     #[test]
     fn threads_beyond_chunks_are_harmless() {
-        let items: Vec<u64> = (0..10).collect();
-        let got = par_chunks_map_reduce(
+        let got = par_range_map_reduce(
             Parallelism::Threads(64),
             Chunking::Fixed(3),
-            &items,
-            || 0u64,
-            |c| c.iter().sum(),
+            10,
+            || 0usize,
+            |r| r.sum(),
             |a, b| a + b,
         );
         assert_eq!(got, 45);
+        let items: Vec<u64> = (0..10).collect();
         let mapped = par_map_indexed(Parallelism::Threads(64), &items, |_, &x| x * 2);
         assert_eq!(mapped, (0..10).map(|x| x * 2).collect::<Vec<_>>());
     }
