@@ -100,10 +100,12 @@ impl ItemsetMiner for AprioriHybrid {
                 // live spans; mirror their durations into this miner's
                 // own histogram names (no tree node — the tree already
                 // shows them as apriori spans).
-                obs.span_ns_fmt(
-                    format_args!("assoc.apriori_hybrid.pass{}", p.pass),
-                    p.duration.as_nanos().min(u64::MAX as u128) as u64,
-                );
+                if obs.enabled() {
+                    obs.value(
+                        &format!("assoc.apriori_hybrid.pass{}", p.pass),
+                        p.duration.as_nanos().min(u64::MAX as u128) as u64,
+                    );
+                }
                 stats.passes.push(p.clone());
             }
             for k in 1..=full.result.itemsets.max_len() {

@@ -33,19 +33,22 @@
 //! truncation marker + collapsed metric document. That record is what
 //! `dm ledger diff`/`dm ledger check` consume and what CI gates on.
 //!
-//! `--trace`, `--folded` and `--prom` share one recorder across the
-//! whole invocation so every experiment lands on a common timeline; each
-//! experiment runs under a top-level `experiment.<id>` span, so the
-//! trace nests experiment → pass → shard. When `--metrics` is also
-//! given, a [`TeeRecorder`] feeds both: the shared recorder keeps the
-//! span tree, the per-experiment recorder keeps its flat snapshot.
+//! Each experiment records into one fresh `InMemoryRecorder` (wrapped
+//! by the progress narrator under `--progress`) and runs under a
+//! top-level `experiment.<id>` span, so its snapshot nests experiment →
+//! pass → shard. `--trace`, `--folded` and `--prom` render one run-wide
+//! snapshot folded from the experiments' snapshots: tree ids and event
+//! sequence numbers continue across experiments, span starts sit on the
+//! run's timeline, counters, histograms and exemplars add up, and a
+//! gauge keeps the last experiment's value.
 
+use dm_bench::progress::ProgressRecorder;
 use dm_core::obs::json::{Layout, Writer};
 use dm_core::obs::ledger::{ExperimentRun, MetricDoc, RunRecord};
 use dm_core::obs::Snapshot;
 use dm_core::prelude::{
     chrome_trace, folded_stacks, prometheus, Budget, Guard, InMemoryRecorder, NoopRecorder,
-    ProgressRecorder, Recorder, RunStatus, TeeRecorder,
+    Recorder, RunStatus,
 };
 use std::io::Write;
 use std::sync::Arc;
@@ -71,6 +74,43 @@ fn git_rev() -> String {
 
 fn main() {
     std::process::exit(real_main());
+}
+
+/// Folds one experiment's snapshot, recorded `start_ns` into the run,
+/// into the run-wide snapshot the tracing exports render. Gauge write
+/// ordinals continue past the run's too, so `gauge_seq` keeps naming
+/// exactly the gauges, as the snapshot reader requires.
+fn fold_into(run: &mut Snapshot, snap: &Snapshot, start_ns: u64) {
+    let ids = run.tree.len() as u64;
+    run.tree.extend(snap.tree.iter().map(|node| {
+        let mut node = node.clone();
+        node.id += ids;
+        if node.parent != 0 {
+            node.parent += ids;
+        }
+        node.start_ns = node.start_ns.saturating_add(start_ns);
+        node
+    }));
+    let seqs = run.events.len() as u64;
+    run.events.extend(snap.events.iter().map(|e| {
+        let mut e = e.clone();
+        e.seq += seqs;
+        e
+    }));
+    let writes = run.gauge_seq.values().copied().max().unwrap_or(0);
+    run.gauge_seq
+        .extend(snap.gauge_seq.iter().map(|(k, &s)| (k.clone(), s + writes)));
+    run.gauges
+        .extend(snap.gauges.iter().map(|(k, &v)| (k.clone(), v)));
+    for (k, &v) in &snap.counters {
+        *run.counters.entry(k.clone()).or_insert(0) += v;
+    }
+    for (k, h) in &snap.histograms {
+        run.histograms.entry(k.clone()).or_default().merge(h);
+    }
+    for (k, buckets) in &snap.exemplars {
+        run.exemplars.entry(k.clone()).or_default().extend(buckets);
+    }
 }
 
 /// Builds the guard for one experiment: whatever is left of the global
@@ -172,10 +212,9 @@ fn real_main() -> i32 {
         return 2;
     }
 
-    // The tracing exports share one recorder so all experiments land on
-    // a single timeline with consistent thread lanes.
     let want_export = trace_path.is_some() || folded_path.is_some() || prom_path.is_some();
-    let export_rec = want_export.then(|| Arc::new(InMemoryRecorder::new()));
+    let want_snapshot = want_export || metrics_path.is_some() || ledger_path.is_some();
+    let mut run_snap = Snapshot::default();
 
     let t_start = Instant::now();
     let created_unix_ms = std::time::SystemTime::now()
@@ -216,18 +255,9 @@ fn real_main() -> i32 {
             break;
         }
         let t0 = Instant::now();
-        let metrics_rec = (metrics_path.is_some() || ledger_path.is_some())
-            .then(|| Arc::new(InMemoryRecorder::new()));
-        // Compose the recorder stack for this experiment: the export
-        // recorder is primary (it owns the span tree); a per-experiment
-        // metrics recorder rides along as the tee's secondary; progress
-        // narration wraps the outside.
-        let base: Option<Arc<dyn Recorder>> = match (&export_rec, &metrics_rec) {
-            (Some(e), Some(m)) => Some(Arc::new(TeeRecorder::new(e.clone(), m.clone()))),
-            (Some(e), None) => Some(e.clone()),
-            (None, Some(m)) => Some(m.clone()),
-            (None, None) => None,
-        };
+        let start_ns = u64::try_from(t_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let rec = want_snapshot.then(|| Arc::new(InMemoryRecorder::new()));
+        let base = rec.clone().map(|r| r as Arc<dyn Recorder>);
         let recorder: Option<Arc<dyn Recorder>> = if progress {
             let inner = base.unwrap_or_else(|| Arc::new(NoopRecorder));
             Some(Arc::new(ProgressRecorder::stderr(inner)))
@@ -272,8 +302,11 @@ fn real_main() -> i32 {
                 return 2;
             }
         }
-        if let Some(rec) = &metrics_rec {
+        if let Some(rec) = &rec {
             let snap = rec.snapshot();
+            if want_export {
+                fold_into(&mut run_snap, &snap, start_ns);
+            }
             if let Some(record) = &mut ledger_record {
                 record.experiments.insert(
                     id.to_string(),
@@ -319,8 +352,7 @@ fn real_main() -> i32 {
             record.experiments.len()
         );
     }
-    if let Some(rec) = &export_rec {
-        let snap = rec.snapshot();
+    if want_export {
         type Render = fn(&dm_core::prelude::Snapshot) -> String;
         let exports: [(&Option<String>, Render, &str); 3] = [
             (&trace_path, chrome_trace, "trace"),
@@ -329,7 +361,7 @@ fn real_main() -> i32 {
         ];
         for (path, render, kind) in exports {
             if let Some(path) = path {
-                if let Err(e) = std::fs::write(path, render(&snap)) {
+                if let Err(e) = std::fs::write(path, render(&run_snap)) {
                     eprintln!("failed to write {kind} file {path}: {e}");
                     return 1;
                 }

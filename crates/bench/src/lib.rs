@@ -20,6 +20,7 @@
 pub mod assoc_exp;
 pub mod classify_exp;
 pub mod cluster_exp;
+pub mod progress;
 pub mod seq_exp;
 pub mod serve_exp;
 pub mod stream_exp;

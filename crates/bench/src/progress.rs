@@ -1,14 +1,10 @@
-//! Recorder composition: fan-out to several sinks and live progress
-//! streaming.
+//! Live progress narration for `experiments --progress`.
 //!
-//! [`TeeRecorder`] lets one governed run feed two recorders at once —
-//! the `experiments` binary uses it when both `--metrics` and a tracing
-//! export are requested. [`ProgressRecorder`] is a forwarding decorator
-//! that additionally narrates selected emissions to a [`ProgressSink`]
-//! (stderr by default) as they happen, which is what `--progress`
-//! rides.
+//! [`ProgressRecorder`] is a forwarding decorator that narrates
+//! selected emissions to a [`ProgressSink`] (stderr by default) as they
+//! happen.
 
-use crate::{Recorder, SpanId, TraceId};
+use dm_core::obs::{Recorder, SpanId, TraceId};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -111,17 +107,6 @@ impl Recorder for ProgressRecorder {
         self.inner.value_traced(name, v, trace);
     }
 
-    fn span_ns(&self, name: &str, elapsed_ns: u64) {
-        if self.narrate_span(name) {
-            self.sink.line(&format!(
-                "{} span  {name} {:.3}ms",
-                self.stamp(),
-                elapsed_ns as f64 / 1e6
-            ));
-        }
-        self.inner.span_ns(name, elapsed_ns);
-    }
-
     fn event(&self, name: &str, detail: &str) {
         self.sink
             .line(&format!("{} event {name}: {detail}", self.stamp()));
@@ -144,85 +129,10 @@ impl Recorder for ProgressRecorder {
     }
 }
 
-/// Duplicates every emission to two recorders.
-///
-/// Span-tree ids belong to the *primary*: `span_begin` only consults
-/// it, and on `span_end` the secondary receives the duration through
-/// its flat [`Recorder::span_ns`] path. This keeps id spaces from
-/// colliding while both recorders still see every duration, counter,
-/// gauge, value and event.
-pub struct TeeRecorder {
-    primary: Arc<dyn Recorder>,
-    secondary: Arc<dyn Recorder>,
-}
-
-impl std::fmt::Debug for TeeRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TeeRecorder").finish_non_exhaustive()
-    }
-}
-
-impl TeeRecorder {
-    /// Tees `primary` (owns the span tree) and `secondary`.
-    pub fn new(primary: Arc<dyn Recorder>, secondary: Arc<dyn Recorder>) -> Self {
-        Self { primary, secondary }
-    }
-}
-
-impl Recorder for TeeRecorder {
-    fn enabled(&self) -> bool {
-        self.primary.enabled() || self.secondary.enabled()
-    }
-
-    fn counter(&self, name: &str, delta: u64) {
-        self.primary.counter(name, delta);
-        self.secondary.counter(name, delta);
-    }
-
-    fn gauge(&self, name: &str, value: f64) {
-        self.primary.gauge(name, value);
-        self.secondary.gauge(name, value);
-    }
-
-    fn gauge_max(&self, name: &str, value: f64) {
-        self.primary.gauge_max(name, value);
-        self.secondary.gauge_max(name, value);
-    }
-
-    fn value(&self, name: &str, v: u64) {
-        self.primary.value(name, v);
-        self.secondary.value(name, v);
-    }
-
-    fn value_traced(&self, name: &str, v: u64, trace: TraceId) {
-        self.primary.value_traced(name, v, trace);
-        self.secondary.value_traced(name, v, trace);
-    }
-
-    fn span_ns(&self, name: &str, elapsed_ns: u64) {
-        self.primary.span_ns(name, elapsed_ns);
-        self.secondary.span_ns(name, elapsed_ns);
-    }
-
-    fn event(&self, name: &str, detail: &str) {
-        self.primary.event(name, detail);
-        self.secondary.event(name, detail);
-    }
-
-    fn span_begin(&self, name: &str, parent: SpanId) -> SpanId {
-        self.primary.span_begin(name, parent)
-    }
-
-    fn span_end(&self, id: SpanId, name: &str, elapsed_ns: u64) {
-        self.primary.span_end(id, name, elapsed_ns);
-        self.secondary.span_ns(name, elapsed_ns);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{InMemoryRecorder, Obs};
+    use dm_core::obs::{InMemoryRecorder, Obs};
     use std::sync::Mutex;
 
     #[derive(Default, Clone)]
@@ -247,37 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn tee_duplicates_flat_metrics_and_keeps_tree_on_primary() {
-        let a = Arc::new(InMemoryRecorder::new());
-        let b = Arc::new(InMemoryRecorder::new());
-        let tee = TeeRecorder::new(a.clone(), b.clone());
-        let obs = Obs::new(&tee);
-        obs.counter("c", 3);
-        obs.gauge_max("g", 7.0);
-        {
-            let outer = obs.span("outer");
-            assert!(outer.id().is_some(), "primary assigns tree ids");
-            let _inner = obs.span("inner");
-        }
-        let sa = a.snapshot();
-        let sb = b.snapshot();
-        assert_eq!(sa.counter("c"), Some(3));
-        assert_eq!(sb.counter("c"), Some(3));
-        assert_eq!(sa.gauge("g"), Some(7.0));
-        assert_eq!(sb.gauge("g"), Some(7.0));
-        // Both recorders aggregated both durations...
-        assert_eq!(sa.spans["outer"].count, 1);
-        assert_eq!(sb.spans["outer"].count, 1);
-        assert_eq!(sb.spans["inner"].count, 1);
-        // ...but only the primary holds the tree, correctly nested.
-        assert_eq!(sa.tree.len(), 2);
-        assert!(sb.tree.is_empty());
-        let outer = sa.tree.iter().find(|n| n.name == "outer").unwrap();
-        let inner = sa.tree.iter().find(|n| n.name == "inner").unwrap();
-        assert_eq!(inner.parent, outer.id);
-    }
-
-    #[test]
     fn progress_narrates_passes_but_not_shards() {
         let sink = VecSink::default();
         let inner = Arc::new(InMemoryRecorder::new());
@@ -286,7 +165,8 @@ mod tests {
         {
             let _pass = obs.span("assoc.apriori.pass2");
         }
-        obs.span_ns("par.shard0.busy", 10);
+        drop(obs.span("par.shard0"));
+        obs.value("par.shard0.busy", 10);
         obs.gauge_max("assoc.mem.ck_bytes", 4096.0);
         obs.gauge("cluster.kmeans.iter.inertia", 2.5);
         obs.gauge("assoc.apriori.minsup_count", 20.0); // not narrated
@@ -304,8 +184,8 @@ mod tests {
             snap.counter("assoc.apriori.pass2.candidates"),
             Some(148_240)
         );
-        assert_eq!(snap.spans["par.shard0.busy"].count, 1);
-        assert_eq!(snap.tree.len(), 1);
+        assert_eq!(snap.histograms["par.shard0.busy"].count, 1);
+        assert_eq!(snap.tree.len(), 2);
         assert_eq!(snap.events.len(), 1);
     }
 }

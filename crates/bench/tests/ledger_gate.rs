@@ -7,7 +7,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use dm_core::obs::ledger::{ExperimentRun, MetricDoc, RunRecord};
+use dm_core::obs::ledger::{diff, ExperimentRun, MetricClass, MetricDoc, RunRecord};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -340,4 +340,54 @@ fn truncated_experiment_reaches_metrics_and_ledger() {
         "partial metrics are preserved, not dropped"
     );
     assert!(record.git_rev.len() > 3, "provenance recorded");
+}
+
+/// The tracing exports do not change what a run records: a run with
+/// `--trace --prom` writes the same exact metrics to its ledger record
+/// as one without, and both `--metrics` files keep the experiment's
+/// span tree.
+#[test]
+fn tracing_exports_leave_ledger_and_metrics_unchanged() {
+    let scratch = Scratch::new("exports");
+    let run = |extra: &[&str], ledger: &str, metrics: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(["--ledger", ledger, "--metrics", metrics])
+            .args(extra)
+            .args(["e5", "e6"])
+            .output()
+            .expect("experiments binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let record = std::fs::read_to_string(ledger).expect("ledger written");
+        RunRecord::from_json(&record).expect("ledger record parses")
+    };
+    let (trace, prom) = (scratch.path("t.json"), scratch.path("p.prom"));
+    let a = run(&[], &scratch.path("a.json"), &scratch.path("m1.json"));
+    let b = run(
+        &["--trace", &trace, "--prom", &prom],
+        &scratch.path("b.json"),
+        &scratch.path("m2.json"),
+    );
+    let report = diff(&a, &b);
+    let exact: Vec<_> = report.entries_of(MetricClass::Exact).collect();
+    assert!(exact.is_empty(), "exact drift under --trace: {exact:?}");
+    for metrics in ["m1.json", "m2.json"] {
+        let text = std::fs::read_to_string(scratch.path(metrics)).expect("metrics written");
+        let doc = dm_core::obs::json::parse(&text).expect("metrics file is JSON");
+        let tree = doc
+            .get("e5")
+            .and_then(|e5| e5.get("tree"))
+            .and_then(|t| t.as_arr())
+            .expect("e5 snapshot has a tree");
+        assert!(
+            tree.iter()
+                .any(|n| n.get("name").and_then(|n| n.as_str()) == Some("experiment.e5")),
+            "{metrics} lost the experiment span"
+        );
+    }
+    let trace = std::fs::read_to_string(trace).expect("trace written");
+    assert!(trace.contains("\"experiment.e5\"") && trace.contains("\"experiment.e6\""));
 }

@@ -4,7 +4,8 @@
 //! it, show/export must resolve ids, and the failure modes must map to
 //! the documented exit codes — 1 for a well-formed id the sampler
 //! dropped, 2 for a malformed trace file or id (the ISSUE's acceptance
-//! criterion).
+//! criterion). `dm watch`, which replays snapshot files from the same
+//! fixture set, shares the exit-2 rule for a file its reader refuses.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -149,4 +150,37 @@ fn id_failures_split_between_data_and_usage_exit_codes() {
     // Verbless invocation: usage, exit 2.
     let verbless = dm(&["trace"]);
     assert_eq!(verbless.status.code(), Some(2));
+}
+
+#[test]
+fn watch_exits_2_on_a_refused_snapshot() {
+    let rules = fixture_path("watch_rules.json");
+    let good = fixture("watch_snap_1.json");
+    let ok = dm(&["watch", &rules, &fixture_path("watch_snap_1.json")]);
+    assert_eq!(ok.status.code(), Some(0), "{}", stderr(&ok));
+    let hist = r#"{"count": 4, "sum": 2000000, "buckets": [[19, 4]]}"#;
+    assert!(good.contains(hist), "fixture lost its histogram");
+    let overflowing = r#"{"count": 18446744073709551615, "sum": 0,
+        "buckets": [[0, 9223372036854775808], [1, 9223372036854775808]]}"#;
+    let bad = std::env::temp_dir().join(format!("dm_watch_bad_{}.json", std::process::id()));
+    for (doc, why) in [
+        (
+            good.replacen(hist, overflowing, 1),
+            "histograms.serve.latency.score_ns.buckets",
+        ),
+        (
+            good.replacen("\"schema\": 5", "\"schema\": 4", 1),
+            "unsupported schema 4",
+        ),
+    ] {
+        std::fs::write(&bad, doc).unwrap();
+        let out = dm(&["watch", &rules, bad.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        let err = stderr(&out);
+        assert!(
+            err.contains("cannot parse snapshot") && err.contains(why),
+            "{err}"
+        );
+    }
+    let _ = std::fs::remove_file(&bad);
 }

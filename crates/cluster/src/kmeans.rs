@@ -105,8 +105,11 @@ impl KMeansModel {
     }
 }
 
-/// Index and squared distance of the nearest centroid.
-fn nearest<'a>(centroids: impl Iterator<Item = &'a [f64]>, point: &[f64]) -> (usize, f64) {
+/// Index and squared distance of the nearest centroid. Strictly-less
+/// comparison keeps the first centroid on a tie, and each distance sums
+/// its coordinates left to right, so every caller (the assignment pass,
+/// [`KMeansModel::score`], the serving fallbacks) agrees bit for bit.
+pub fn nearest<'a>(centroids: impl Iterator<Item = &'a [f64]>, point: &[f64]) -> (usize, f64) {
     let mut best = (0usize, f64::INFINITY);
     for (i, c) in centroids.enumerate() {
         let d = euclidean_sq(c, point);

@@ -100,8 +100,8 @@ pub mod prelude {
     pub use dm_knn::{CondensedNn, Distance, Knn, Search, Weighting};
     pub use dm_obs::{
         export::{chrome_trace, folded_stacks, prometheus},
-        HeapSize, Histogram, InMemoryRecorder, NoopRecorder, Obs, ProgressRecorder, Recorder,
-        Snapshot, SpanId, StderrSink, TeeRecorder, SNAPSHOT_SCHEMA,
+        HeapSize, Histogram, InMemoryRecorder, NoopRecorder, Obs, Recorder, Snapshot, SpanId,
+        SNAPSHOT_SCHEMA,
     };
     pub use dm_par::Parallelism;
     pub use dm_seq::{

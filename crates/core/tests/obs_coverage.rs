@@ -68,7 +68,7 @@ fn every_assoc_miner_emits_per_pass_counters_and_spans() {
         let expected: Vec<&str> = expected.iter().map(String::as_str).collect();
         assert_counters(&snap, &expected);
         assert!(
-            snap.spans.contains_key(&format!("assoc.{algo}.pass1")),
+            snap.histograms.contains_key(&format!("assoc.{algo}.pass1")),
             "{algo}: missing pass-1 span"
         );
     }
@@ -105,7 +105,7 @@ fn fp_growth_emits_tree_counters_gauges_and_spans() {
         );
     }
     for span in ["assoc.fp.scan", "assoc.fp.build", "assoc.fp.mine"] {
-        assert!(snap.spans.contains_key(span), "missing span `{span}`");
+        assert!(snap.histograms.contains_key(span), "missing span `{span}`");
     }
     assert!(snap
         .gauge("assoc.mem.fptree_bytes")
@@ -135,7 +135,7 @@ fn eclat_emits_vertical_counters_gauges_and_spans() {
         ],
     );
     for span in ["assoc.eclat.build", "assoc.eclat.mine"] {
-        assert!(snap.spans.contains_key(span), "missing span `{span}`");
+        assert!(snap.histograms.contains_key(span), "missing span `{span}`");
     }
     assert!(snap
         .gauge("assoc.mem.vertical_bytes")
@@ -210,7 +210,7 @@ fn apriori_all_emits_sequence_metrics() {
         &snap,
         &["seq.apriori_all.litemsets", "seq.apriori_all.len1.frequent"],
     );
-    assert!(snap.spans.contains_key("seq.apriori_all.mine"));
+    assert!(snap.histograms.contains_key("seq.apriori_all.mine"));
 }
 
 #[test]
@@ -299,7 +299,7 @@ fn tree_and_knn_emit_their_counters() {
         snap.counter("knn.predict.queries"),
         Some(test.rows() as u64)
     );
-    assert!(snap.spans.contains_key("knn.predict"));
+    assert!(snap.histograms.contains_key("knn.predict"));
 }
 
 #[test]
@@ -482,7 +482,6 @@ fn assoc_registry_rows_are_all_emitted() {
         .keys()
         .chain(snap.gauges.keys())
         .chain(snap.histograms.keys())
-        .chain(snap.spans.keys())
         .map(String::as_str)
         .chain(snap.events.iter().map(|e| e.name.as_str()))
         .collect();

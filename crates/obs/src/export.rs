@@ -159,7 +159,8 @@ pub fn folded_stacks(snap: &Snapshot) -> String {
         }
         let self_ns = total.saturating_sub(child_ns);
         if self_ns > 0 {
-            *folded.entry(path).or_insert(0) += self_ns;
+            let sum = folded.entry(path).or_insert(0);
+            *sum = sum.saturating_add(self_ns);
         }
     }
     let mut out = String::new();

@@ -86,16 +86,6 @@ pub fn bucket_max(i: usize) -> u64 {
     }
 }
 
-/// The smallest value bucket `i` can hold.
-#[inline]
-pub fn bucket_min(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else {
-        1u64 << (i - 1)
-    }
-}
-
 impl Histogram {
     /// A fresh, empty histogram.
     pub fn new() -> Self {
@@ -184,7 +174,9 @@ impl Histogram {
     }
 }
 
-/// Reads the form [`ToJson`] writes, with every bucket index in range.
+/// Reads the form [`ToJson`] writes, with every bucket index in range
+/// and bucket counts that sum to `count` without overflow — what
+/// [`Histogram::quantile`]'s running sum relies on.
 impl FromJson<'_> for Histogram {
     fn from_json(v: &Json) -> Result<Self, FieldError> {
         let mut h = Histogram {
@@ -201,6 +193,13 @@ impl FromJson<'_> for Histogram {
                         .within(format_args!("buckets[{i}]")))
                 }
             }
+        }
+        let total = h
+            .buckets
+            .iter()
+            .try_fold(0u64, |acc, &c| acc.checked_add(c));
+        if total != Some(h.count) {
+            return Err(FieldError::not("a bucket list summing to `count`").within("buckets"));
         }
         Ok(h)
     }
@@ -303,6 +302,19 @@ mod tests {
         assert_eq!(late.saturating_delta(&early), window);
         // Degenerate direction (older minus newer) saturates to empty.
         assert!(early.saturating_delta(&late).is_empty());
+    }
+
+    #[test]
+    fn from_json_requires_buckets_to_sum_to_count() {
+        let read = |doc: &str| Histogram::from_json(&crate::json::parse(doc).unwrap());
+        let mut h = Histogram::new();
+        h.record(3);
+        h.record(0);
+        let mut w = Writer::new();
+        h.write_json(&mut w);
+        assert_eq!(read(&w.finish()), Ok(h));
+        assert!(read(r#"{"count": 2, "sum": 0, "buckets": [[0, 1]]}"#).is_err());
+        assert!(read(r#"{"count": 0, "sum": 0, "buckets": [[0, 1]]}"#).is_err());
     }
 
     #[test]

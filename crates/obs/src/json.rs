@@ -815,7 +815,7 @@ mod tests {
         }
         let json = rec.snapshot().to_json();
         let v = parse(&json).expect("snapshot JSON parses");
-        assert_eq!(v.get("schema").unwrap().as_u64(), Some(4));
+        assert_eq!(v.get("schema").unwrap().as_u64(), Some(5));
         assert_eq!(
             v.get("counters")
                 .unwrap()

@@ -30,13 +30,13 @@
 //! `DESIGN.md` ("Run ledger"); the `dm ledger` binary (crate
 //! `dm-bench`) is the command-line surface.
 
-use crate::hist::{bucket_index, bucket_max};
+use crate::hist::bucket_index;
 use crate::json::{
     parse, FieldError, FromJson, Json, JsonError,
     Layout::{Block, Inline},
     ToJson, Writer,
 };
-use crate::{Histogram, Snapshot, SpanStat};
+use crate::{Histogram, Snapshot};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -75,9 +75,14 @@ impl std::error::Error for LedgerError {}
 
 /// Aggregate of all span-tree nodes sharing one root-to-node name
 /// path: how many nodes, and their total nanoseconds (open or leaked
-/// spans count 0). The same pair, and the same JSON, as a snapshot's
-/// per-name [`SpanStat`].
-pub type SpanRollup = SpanStat;
+/// spans count 0).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpanRollup {
+    /// Number of nodes on the path.
+    pub count: u64,
+    /// Total nanoseconds across those nodes.
+    pub total_ns: u64,
+}
 
 /// The ledger's view of one experiment's [`Snapshot`]: everything
 /// deterministic or aggregate, nothing per-occurrence.
@@ -85,9 +90,8 @@ pub type SpanRollup = SpanStat;
 /// Relative to the raw snapshot: events collapse to a count per name
 /// (their payload strings and ordering stay in `--metrics` output),
 /// the span tree collapses to per-path [`SpanRollup`]s (raw node
-/// timestamps are wall-clock noise), the flat `spans` map is dropped
-/// (it is derived from `histograms`), and non-finite gauges are
-/// skipped (they cannot round-trip through JSON).
+/// timestamps are wall-clock noise), exemplars are dropped, and
+/// non-finite gauges are skipped (they cannot round-trip through JSON).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricDoc {
     /// Monotonic counters by name.
@@ -179,6 +183,24 @@ pub struct RunRecord {
 // ---------------------------------------------------------------------------
 // Serialization
 // ---------------------------------------------------------------------------
+
+impl FromJson<'_> for SpanRollup {
+    fn from_json(v: &Json) -> Result<Self, FieldError> {
+        Ok(SpanRollup {
+            count: v.req("count")?,
+            total_ns: v.req("total_ns")?,
+        })
+    }
+}
+
+impl ToJson for SpanRollup {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj(Inline, |w| {
+            w.key("count").u64(self.count);
+            w.key("total_ns").u64(self.total_ns);
+        });
+    }
+}
 
 impl ToJson for MetricDoc {
     fn write_json(&self, w: &mut Writer) {
@@ -1002,30 +1024,6 @@ pub fn check(baseline: &RunRecord, current: &RunRecord, policy: &CheckPolicy) ->
     report
 }
 
-// ---------------------------------------------------------------------------
-// Snapshot tagging (the `--metrics` truncation marker)
-// ---------------------------------------------------------------------------
-
-/// Serializes a snapshot like [`Snapshot::to_json`], additionally
-/// tagging it with a `"truncated": "<reason>"` key right after
-/// `"schema"` when `truncated` is `Some`. The tag is an *optional*
-/// addition documented with schema 2: complete runs serialize
-/// byte-identically to [`Snapshot::to_json`], so existing consumers
-/// are unaffected, and truncated partial snapshots are no longer
-/// silently indistinguishable (or worse, dropped).
-pub fn snapshot_json_tagged(snap: &Snapshot, truncated: Option<&str>) -> String {
-    let mut w = Writer::new();
-    snap.write_json(&mut w, truncated);
-    w.finish()
-}
-
-/// The inclusive upper bound of the power-of-two bucket holding `v` —
-/// re-exported for reports that want to print quantile bounds the way
-/// the histogram stores them.
-pub fn quantile_bucket_bound(v: u64) -> u64 {
-    bucket_max(bucket_index(v))
-}
-
 /// Crash-safe file write for ledger records and baselines: the
 /// contents go to a sibling temp file (`<name>.tmp.<pid>`) which is
 /// fsynced and atomically renamed over `path`, so an interrupted run
@@ -1273,28 +1271,5 @@ mod tests {
         let report = check(&base, &other, &CheckPolicy::default());
         assert!(report.passed());
         assert_eq!(report.warnings.len(), 1);
-    }
-
-    #[test]
-    fn snapshot_tagging_marks_truncated_runs_only() {
-        let rec = InMemoryRecorder::new();
-        let obs = Obs::new(&rec);
-        obs.counter("a.b.c", 1);
-        let snap = rec.snapshot();
-        assert_eq!(snapshot_json_tagged(&snap, None), snap.to_json());
-        let tagged = snapshot_json_tagged(&snap, Some("wall-clock deadline exceeded"));
-        let parsed = crate::json::parse(&tagged).expect("tagged snapshot is valid JSON");
-        assert_eq!(
-            parsed.get("truncated").and_then(Json::as_str),
-            Some("wall-clock deadline exceeded")
-        );
-        assert_eq!(parsed.get("schema").and_then(Json::as_u64), Some(4));
-        assert_eq!(
-            parsed
-                .get("counters")
-                .and_then(|c| c.get("a.b.c"))
-                .and_then(Json::as_u64),
-            Some(1)
-        );
     }
 }

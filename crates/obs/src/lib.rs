@@ -27,11 +27,11 @@
 //! thread-local parent stack, so `experiment → pass → shard` trees fall
 //! out of ordinary lexical scoping. Crossing a thread boundary (the
 //! `dm_par` workers) is explicit: capture [`Obs::current_span`] on the
-//! spawning thread and open the child with [`Obs::span_child`]. The
-//! flat per-name aggregates (`Snapshot::spans`) are retained alongside
-//! the tree, now derived from full histograms so p50/p99 are
-//! recoverable. With a disabled recorder no clock is read, no name is
-//! formatted and the thread-local stack is never touched.
+//! spawning thread and open the child with [`Obs::span_child`]. Each
+//! closed span also lands in its name's duration [`Histogram`], the
+//! one place a duration is stored. With a disabled recorder no clock is
+//! read, no name is formatted and the thread-local stack is never
+//! touched.
 //!
 //! ## Memory accounting
 //!
@@ -49,6 +49,14 @@
 //! ([`export::folded_stacks`]), and Prometheus text exposition
 //! ([`export::prometheus`]). The `experiments` binary exposes them as
 //! `--trace`, `--folded` and `--prom`.
+//!
+//! ## Loading
+//!
+//! [`Snapshot::from_json`] reads only the current schema, with every
+//! section required, and refuses a document whose parts disagree: a
+//! histogram whose buckets do not sum to its count, gauge write
+//! ordinals for other names than the gauges, or a span tree whose ids
+//! are not `1..=n` in order with each parent `0` or an earlier id.
 //!
 //! ## Metric naming
 //!
@@ -81,13 +89,12 @@
 //! let snap = rec.snapshot();
 //! assert_eq!(snap.counter("assoc.apriori.pass3.candidates"), Some(44));
 //! assert_eq!(snap.tree.len(), 1);
-//! assert!(snap.to_json().contains("\"schema\": 4"));
+//! assert!(snap.to_json().contains("\"schema\": 5"));
 //! ```
 
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod compose;
 pub mod export;
 pub mod heap;
 pub mod hist;
@@ -96,7 +103,6 @@ pub mod ledger;
 pub mod trace;
 pub mod watch;
 
-pub use compose::{ProgressRecorder, ProgressSink, StderrSink, TeeRecorder};
 pub use heap::HeapSize;
 pub use hist::{Exemplar, Histogram};
 pub use trace::TraceId;
@@ -110,8 +116,8 @@ use std::time::Instant;
 /// Version of the [`Snapshot`] JSON schema (the `"schema"` key). Bump
 /// it whenever a key is added, removed or its meaning changes, and
 /// record the change in `DESIGN.md` ("Metrics snapshot schema").
-/// Version 4 appended `exemplars`; readers accept 1..=4.
-pub const SNAPSHOT_SCHEMA: u32 = 4;
+/// Version 5 dropped `spans`; readers accept 5 only.
+pub const SNAPSHOT_SCHEMA: u32 = 5;
 
 /// Identifier of one node in a recorder's span tree. `SpanId::ROOT`
 /// (zero) is "no parent": a top-level span, or a recorder that does not
@@ -135,7 +141,7 @@ impl SpanId {
 /// All methods take `&self`; implementations use interior mutability
 /// (or, like [`NoopRecorder`], no state at all). The span-tree and
 /// histogram methods have defaults that degrade gracefully, so a
-/// minimal recorder only implements the four flat primitives.
+/// minimal recorder only implements the three flat primitives.
 pub trait Recorder: Send + Sync {
     /// Whether this recorder keeps anything. Instrumentation sites check
     /// this before formatting dynamic metric names, so a disabled
@@ -149,10 +155,6 @@ pub trait Recorder: Send + Sync {
 
     /// Sets the named gauge to `value` (last write wins).
     fn gauge(&self, name: &str, value: f64);
-
-    /// Records one completed timed span of `elapsed_ns` nanoseconds
-    /// under `name` (aggregated into the name's duration histogram).
-    fn span_ns(&self, name: &str, elapsed_ns: u64);
 
     /// Appends an entry to the ordered event log.
     fn event(&self, name: &str, detail: &str);
@@ -189,11 +191,11 @@ pub trait Recorder: Send + Sync {
     }
 
     /// Closes span `id` after `elapsed_ns`, also feeding the name's
-    /// duration histogram. The default forwards to [`Recorder::span_ns`]
+    /// duration histogram. The default forwards to [`Recorder::value`]
     /// so tree-less recorders still aggregate durations.
     fn span_end(&self, id: SpanId, name: &str, elapsed_ns: u64) {
         let _ = id;
-        self.span_ns(name, elapsed_ns);
+        self.value(name, elapsed_ns);
     }
 }
 
@@ -212,23 +214,11 @@ impl Recorder for NoopRecorder {
     #[inline]
     fn gauge(&self, _name: &str, _value: f64) {}
     #[inline]
-    fn span_ns(&self, _name: &str, _elapsed_ns: u64) {}
-    #[inline]
     fn event(&self, _name: &str, _detail: &str) {}
 }
 
 /// The process-wide noop instance [`Obs::noop`] hands out.
 pub static NOOP: NoopRecorder = NoopRecorder;
-
-/// Aggregated timings of one span name — the schema-1 view, derived
-/// from the name's full [`Histogram`] (count and sum are exact).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanStat {
-    /// Number of completed spans.
-    pub count: u64,
-    /// Total nanoseconds across all spans.
-    pub total_ns: u64,
-}
 
 /// One entry of the ordered event log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -257,24 +247,6 @@ pub struct SpanNode {
     /// Span duration; `None` while the span is still open (or was
     /// leaked without closing).
     pub dur_ns: Option<u64>,
-}
-
-impl json::FromJson<'_> for SpanStat {
-    fn from_json(v: &json::Json) -> Result<Self, json::FieldError> {
-        Ok(SpanStat {
-            count: v.req("count")?,
-            total_ns: v.req("total_ns")?,
-        })
-    }
-}
-
-impl json::ToJson for SpanStat {
-    fn write_json(&self, w: &mut json::Writer) {
-        w.obj(json::Layout::Inline, |w| {
-            w.key("count").u64(self.count);
-            w.key("total_ns").u64(self.total_ns);
-        });
-    }
 }
 
 impl json::FromJson<'_> for Event {
@@ -335,7 +307,7 @@ struct State {
     gauge_writes: u64,
     hists: BTreeMap<String, Histogram>,
     /// Per-histogram bucket exemplars: the most recent traced
-    /// observation per bucket (schema 4).
+    /// observation per bucket.
     exemplars: BTreeMap<String, BTreeMap<usize, Exemplar>>,
     events: Vec<Event>,
     nodes: Vec<SpanNode>,
@@ -415,19 +387,6 @@ impl InMemoryRecorder {
         self.with_state(|s| Snapshot {
             counters: s.counters.clone(),
             gauges: s.gauges.clone(),
-            spans: s
-                .hists
-                .iter()
-                .map(|(k, h)| {
-                    (
-                        k.clone(),
-                        SpanStat {
-                            count: h.count,
-                            total_ns: h.sum,
-                        },
-                    )
-                })
-                .collect(),
             histograms: s.hists.clone(),
             exemplars: s.exemplars.clone(),
             events: s.events.clone(),
@@ -458,15 +417,6 @@ impl Recorder for InMemoryRecorder {
                 .and_modify(|g| *g = g.max(value))
                 .or_insert(value);
             s.touch_gauge(name);
-        });
-    }
-
-    fn span_ns(&self, name: &str, elapsed_ns: u64) {
-        self.with_state(|s| {
-            s.hists
-                .entry(name.to_owned())
-                .or_default()
-                .record(elapsed_ns);
         });
     }
 
@@ -552,21 +502,19 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Gauges by name (last written value).
     pub gauges: BTreeMap<String, f64>,
-    /// Span aggregates by name (schema-1 view, derived from
-    /// [`Snapshot::histograms`]; count/sum are exact).
-    pub spans: BTreeMap<String, SpanStat>,
-    /// Full duration/value histograms by name.
+    /// Duration/value histograms by name (span durations land under
+    /// the span's name; count and sum are exact).
     pub histograms: BTreeMap<String, Histogram>,
     /// The ordered event log.
     pub events: Vec<Event>,
     /// The hierarchical span tree, in open order (`id` = index + 1).
     pub tree: Vec<SpanNode>,
-    /// Per-gauge write ordinal (schema 3): the recorder-wide gauge
+    /// Per-gauge write ordinal: the recorder-wide gauge
     /// write counter at each gauge's last write. Strictly increases
     /// with every write to any gauge, so two snapshots of the same
     /// recorder order gauge observations even when the value repeats.
     pub gauge_seq: BTreeMap<String, u64>,
-    /// Per-histogram bucket exemplars (schema 4): for each histogram
+    /// Per-histogram bucket exemplars: for each histogram
     /// fed through [`Recorder::value_traced`], the most recent traced
     /// observation per bucket.
     pub exemplars: BTreeMap<String, BTreeMap<usize, Exemplar>>,
@@ -627,13 +575,11 @@ impl Snapshot {
     /// Serializes the snapshot as a JSON document.
     ///
     /// The format is stable and versioned (`"schema"`, currently
-    /// [`SNAPSHOT_SCHEMA`]): one object whose schema-1 keys
-    /// (`counters`, `gauges`, `spans`, `events`) are unchanged from
-    /// version 1, plus `histograms` (sparse power-of-two buckets) and
-    /// `tree` (the span hierarchy) from version 2, plus `gauge_seq`
-    /// (per-gauge write ordinals) from version 3, plus `exemplars`
-    /// (sparse `[bucket, trace_id, value]` triples per histogram) from
-    /// version 4. Map keys sorted lexicographically; non-finite gauge
+    /// [`SNAPSHOT_SCHEMA`]): one object with `counters`, `gauges`,
+    /// `events`, `histograms` (sparse power-of-two buckets), `tree`
+    /// (the span hierarchy), `gauge_seq` (per-gauge write ordinals) and
+    /// `exemplars` (sparse `[bucket, trace_id, value]` triples per
+    /// histogram). Map keys sorted lexicographically; non-finite gauge
     /// values serialize as `null`.
     /// See `DESIGN.md` ("Metrics snapshot schema") for the full schema
     /// and the bump rule.
@@ -656,7 +602,6 @@ impl Snapshot {
             }
             w.key("counters").map(Block, &self.counters);
             w.key("gauges").map(Block, &self.gauges);
-            w.key("spans").map(Block, &self.spans);
             w.key("events").list(Block, &self.events);
             w.key("histograms").map(Block, &self.histograms);
             w.key("tree").list(Block, &self.tree);
@@ -677,10 +622,12 @@ impl Snapshot {
 
     /// Parses a snapshot serialized by [`Snapshot::to_json`] — the
     /// replay path behind `dm watch`, where archived snapshots feed a
-    /// [`watch::MetricView`] exactly as live ones would. Any schema
-    /// version up to [`SNAPSHOT_SCHEMA`] is accepted; keys an older
-    /// version lacks default to empty (a schema-2 document simply has
-    /// no `gauge_seq`, and the view synthesizes ordinals).
+    /// [`watch::MetricView`] exactly as live ones would. Only schema
+    /// [`SNAPSHOT_SCHEMA`] is read and every section is required. A
+    /// document whose parts disagree is refused: `gauge_seq` must name
+    /// exactly the gauges, tree ids must run `1..=n` in order with each
+    /// `parent` `0` or an earlier id, and each histogram's buckets must
+    /// sum to its count.
     pub fn from_json(input: &str) -> Result<Snapshot, String> {
         Self::read(input).map_err(|e| format!("snapshot: {e}"))
     }
@@ -688,28 +635,37 @@ impl Snapshot {
     fn read(input: &str) -> Result<Snapshot, String> {
         let doc = json::parse(input).map_err(|e| e.to_string())?;
         let schema: u64 = doc.req("schema")?;
-        if schema == 0 || schema > u64::from(SNAPSHOT_SCHEMA) {
+        if schema != u64::from(SNAPSHOT_SCHEMA) {
             return Err(format!(
-                "unsupported schema {schema} (this build reads <= {SNAPSHOT_SCHEMA})"
+                "unsupported schema {schema} (this build reads {SNAPSHOT_SCHEMA} only)"
             ));
         }
-        // Sections a schema older than the document's own lacks read
-        // as empty; non-finite gauge values serialize as `null`.
-        let gauges: BTreeMap<String, Option<f64>> = doc.opt("gauges")?.unwrap_or_default();
-        let exemplars: BTreeMap<String, Vec<Vec<u64>>> = doc.opt("exemplars")?.unwrap_or_default();
+        // Non-finite gauge values serialize as `null`.
+        let gauges: BTreeMap<String, Option<f64>> = doc.req("gauges")?;
+        let exemplars: BTreeMap<String, Vec<Vec<u64>>> = doc.req("exemplars")?;
         let mut snap = Snapshot {
-            counters: doc.opt("counters")?.unwrap_or_default(),
+            counters: doc.req("counters")?,
             gauges: gauges
                 .into_iter()
                 .map(|(k, g)| (k, g.unwrap_or(f64::NAN)))
                 .collect(),
-            spans: doc.opt("spans")?.unwrap_or_default(),
-            histograms: doc.opt("histograms")?.unwrap_or_default(),
-            events: doc.opt("events")?.unwrap_or_default(),
-            tree: doc.opt("tree")?.unwrap_or_default(),
-            gauge_seq: doc.opt("gauge_seq")?.unwrap_or_default(),
+            histograms: doc.req("histograms")?,
+            events: doc.req("events")?,
+            tree: doc.req("tree")?,
+            gauge_seq: doc.req("gauge_seq")?,
             exemplars: BTreeMap::new(),
         };
+        if !snap.gauge_seq.keys().eq(snap.gauges.keys()) {
+            return Err("`gauge_seq` does not name exactly the gauges".into());
+        }
+        for (i, node) in snap.tree.iter().enumerate() {
+            if node.id != i as u64 + 1 || node.parent >= node.id {
+                return Err(format!(
+                    "`tree[{i}]` is not span {} under 0 or an earlier span",
+                    i + 1
+                ));
+            }
+        }
         for (k, triples) in exemplars {
             let mut buckets = BTreeMap::new();
             for (i, triple) in triples.iter().enumerate() {
@@ -932,23 +888,6 @@ impl<'a> Obs<'a> {
             }),
         }
     }
-
-    /// Records an already-measured span duration (histogram only; no
-    /// tree node).
-    #[inline]
-    pub fn span_ns(&self, name: &str, elapsed_ns: u64) {
-        if self.rec.enabled() {
-            self.rec.span_ns(name, elapsed_ns);
-        }
-    }
-
-    /// Records a span with a lazily formatted name.
-    #[inline]
-    pub fn span_ns_fmt(&self, name: std::fmt::Arguments<'_>, elapsed_ns: u64) {
-        if self.rec.enabled() {
-            self.rec.span_ns(&name.to_string(), elapsed_ns);
-        }
-    }
 }
 
 struct ActiveSpan<'a> {
@@ -1042,22 +981,19 @@ mod tests {
     }
 
     #[test]
-    fn spans_aggregate_count_and_total() {
+    fn span_durations_share_the_value_histogram() {
         let rec = InMemoryRecorder::new();
         let obs = Obs::new(&rec);
-        obs.span_ns("knn.predict.batch", 100);
-        obs.span_ns("knn.predict.batch", 50);
+        obs.value("knn.predict.batch", 100);
+        obs.value("knn.predict.batch", 50);
         {
             let _s = obs.span("knn.predict.batch");
         }
         let snap = rec.snapshot();
-        let stat = snap.spans["knn.predict.batch"];
-        assert_eq!(stat.count, 3);
-        assert!(stat.total_ns >= 150);
-        // The histogram behind the flat view has the same exact count/sum.
         let hist = snap.histogram("knn.predict.batch").unwrap();
-        assert_eq!(hist.count, stat.count);
-        assert_eq!(hist.sum, stat.total_ns);
+        assert_eq!(hist.count, 3);
+        assert!(hist.sum >= 150);
+        assert_eq!(snap.tree.len(), 1, "only the live span makes a node");
     }
 
     #[test]
@@ -1206,18 +1142,45 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_from_json_rejects_unknown_schema_and_garbage() {
+    fn snapshot_from_json_rejects_other_schemas_and_garbage() {
         let err = Snapshot::from_json("{\"schema\": 99}").unwrap_err();
         assert!(err.contains("unsupported schema 99"), "{err}");
         assert!(Snapshot::from_json("{}").is_err());
         assert!(Snapshot::from_json("nonsense").is_err());
-        // A schema-2 document (no gauge_seq) still parses.
-        let old = Snapshot::from_json(
+        // A schema-2 document is no longer read.
+        let err = Snapshot::from_json(
             "{\"schema\": 2, \"counters\": {\"assoc.rules.emitted\": 4}, \"gauges\": {}}",
         )
-        .unwrap();
-        assert_eq!(old.counter("assoc.rules.emitted"), Some(4));
-        assert!(old.gauge_seq.is_empty());
+        .unwrap_err();
+        assert!(err.contains("unsupported schema 2"), "{err}");
+    }
+
+    #[test]
+    fn write_json_tags_truncated_runs_only() {
+        let rec = InMemoryRecorder::new();
+        let obs = Obs::new(&rec);
+        obs.counter("a.b.c", 1);
+        let snap = rec.snapshot();
+        let tagged = |reason| {
+            let mut w = json::Writer::new();
+            snap.write_json(&mut w, reason);
+            w.finish()
+        };
+        assert_eq!(tagged(None), snap.to_json());
+        let doc = tagged(Some("wall-clock deadline exceeded"));
+        let parsed = json::parse(&doc).expect("tagged snapshot is valid JSON");
+        assert_eq!(
+            parsed.get("truncated").and_then(json::Json::as_str),
+            Some("wall-clock deadline exceeded")
+        );
+        assert!(doc.starts_with("{\n  \"schema\": 5,\n  \"truncated\": "));
+        assert_eq!(
+            parsed
+                .get("counters")
+                .and_then(|c| c.get("a.b.c"))
+                .and_then(json::Json::as_u64),
+            Some(1)
+        );
     }
 
     #[test]
@@ -1246,14 +1209,14 @@ mod tests {
         obs.counter("a", 1);
         obs.gauge("g.nan", f64::NAN);
         obs.gauge("g.v", 1.5);
-        obs.span_ns("s", 42);
+        obs.value("s", 42);
         obs.event("e", "line1\n\"quoted\"");
         let json = rec.snapshot().to_json();
         // Keys sorted: "a" before "b".
         assert!(json.find("\"a\": 1").unwrap() < json.find("\"b\": 2").unwrap());
         assert!(json.contains("\"g.nan\": null"));
         assert!(json.contains("\"g.v\": 1.5"));
-        assert!(json.contains("{\"count\": 1, \"total_ns\": 42}"));
+        assert!(json.contains("\"s\": {\"count\": 1, \"sum\": 42, \"buckets\": [[6, 1]]}"));
         assert!(json.contains("\\n\\\"quoted\\\""));
         // Same content -> same serialization.
         assert_eq!(json, rec.snapshot().to_json());
@@ -1263,7 +1226,8 @@ mod tests {
     fn empty_snapshot_serializes_cleanly() {
         let snap = InMemoryRecorder::new().snapshot();
         let json = snap.to_json();
-        assert!(json.contains("\"schema\": 4"));
+        assert!(json.contains("\"schema\": 5"));
+        assert!(!json.contains("\"spans\""));
         assert!(json.contains("\"counters\": {}"));
         assert!(json.contains("\"events\": []"));
         assert!(json.contains("\"histograms\": {}"));
@@ -1301,7 +1265,7 @@ mod tests {
             })
         );
         assert_eq!(snap.exemplar("serve.latency.predict_ns", 0), None);
-        // Exemplars round-trip through the schema-4 document.
+        // Exemplars round-trip through the snapshot document.
         let parsed = Snapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(parsed, snap);
     }

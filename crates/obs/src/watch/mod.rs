@@ -24,10 +24,10 @@
 //! (E17 gates exactly this at 0% tolerance).
 //!
 //! Drift rules wrap a [`drift`] detector (Page–Hinkley or CUSUM) around
-//! a gauge's observation series — each new gauge write ordinal (schema
-//! 3 `gauge_seq`) feeds the detector once — and a detection latches the
-//! rule breached for its hold window so the state machine can walk the
-//! same `Pending → Firing` path.
+//! a gauge's observation series — each new gauge write ordinal (the
+//! snapshot's `gauge_seq`) feeds the detector once — and a detection
+//! latches the rule breached for its hold window so the state machine
+//! can walk the same `Pending → Firing` path.
 //!
 //! Every evaluation emits `watch.*` metrics through the ordinary
 //! [`Obs`] facade, so the watcher's own behaviour lands in snapshots,

@@ -36,11 +36,6 @@ pub struct MetricView {
     /// Tick time of the first push — the staleness baseline for
     /// counters that have never appeared.
     birth_ms: Option<u64>,
-    /// Fallback ordinal for gauges whose snapshot carries no
-    /// `gauge_seq` entry (pre-schema-3 documents replayed through the
-    /// CLI): advances once per push, so every frame counts as a fresh
-    /// observation.
-    synth_seq: u64,
 }
 
 impl MetricView {
@@ -52,7 +47,6 @@ impl MetricView {
             frames: VecDeque::new(),
             last_change_ms: BTreeMap::new(),
             birth_ms: None,
-            synth_seq: 0,
         }
     }
 
@@ -75,18 +69,18 @@ impl MetricView {
     /// backwards; equal times are allowed and replace nothing).
     pub fn push(&mut self, snap: &Snapshot, t_ms: u64) {
         self.birth_ms.get_or_insert(t_ms);
-        self.synth_seq += 1;
         let mut counters = snap.counters.clone();
         // Events are counters in all but storage: fold their per-name
         // counts in so rules can reference names like `guard.trip`.
         for e in &snap.events {
-            *counters.entry(e.name.clone()).or_insert(0) += 1;
+            let n = counters.entry(e.name.clone()).or_insert(0);
+            *n = n.saturating_add(1);
         }
         let gauges = snap
             .gauges
             .iter()
             .map(|(k, &v)| {
-                let seq = snap.gauge_seq.get(k).copied().unwrap_or(self.synth_seq);
+                let seq = snap.gauge_seq.get(k).copied().unwrap_or(0);
                 (k.clone(), (v, seq))
             })
             .collect();

@@ -1,23 +1,19 @@
-//! Snapshot-schema compatibility: each schema version is a strict
-//! superset of the previous one. Consumers keyed on the v1 fields
-//! (`schema`, `counters`, `gauges`, `spans`, `events`) must keep
-//! working unchanged; the v2 additions (`histograms`, `tree`), the
-//! v3 addition (`gauge_seq`) and the v4 addition (`exemplars`) only
-//! append. A bump to `schema` (see DESIGN.md, "Metrics snapshot
-//! schema") is required whenever an existing key changes shape — this
-//! test is the tripwire.
+//! Snapshot-schema round trip: the one schema this build writes is the
+//! one it reads. A document survives `to_json` → `from_json` →
+//! `to_json` byte for byte, every top-level key is required, and any
+//! other `schema` is refused with an error naming it. A change to the
+//! key set or a key's shape bumps `SNAPSHOT_SCHEMA` (see DESIGN.md,
+//! "Metrics snapshot schema") — this test is the tripwire.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use dm_obs::{InMemoryRecorder, Obs, Snapshot, TraceId, SNAPSHOT_SCHEMA};
 
-/// Every top-level key, in the serialized order. New schema versions
-/// append here (and only here).
-const TOP_LEVEL_KEYS: [&str; 9] = [
+/// Every top-level key, in the serialized order.
+const TOP_LEVEL_KEYS: [&str; 8] = [
     "schema",
     "counters",
     "gauges",
-    "spans",
     "events",
     "histograms",
     "tree",
@@ -25,46 +21,39 @@ const TOP_LEVEL_KEYS: [&str; 9] = [
     "exemplars",
 ];
 
-#[test]
-fn v1_keys_and_shapes_are_unchanged() {
+/// A snapshot touching every section, including a `null` gauge.
+fn populated() -> String {
     let rec = InMemoryRecorder::new();
     let obs = Obs::new(&rec);
     obs.counter("assoc.apriori.passes", 3);
     obs.gauge("assoc.mem.ck_bytes", 4096.0);
+    obs.gauge("cluster.kmeans.sse", f64::NAN);
+    obs.value_traced("serve.latency.predict_ns", 800, TraceId(0xAB));
     {
         let _outer = obs.span("experiment.e1");
         let _inner = obs.span("assoc.apriori.pass1");
     }
     obs.event("guard.trip", "deadline");
-    let json = rec.snapshot().to_json();
+    rec.snapshot().to_json()
+}
 
-    // The v1 field set, in the v1 order, with the v1 value shapes.
+#[test]
+fn documents_round_trip_byte_for_byte() {
+    let json = populated();
     assert!(json.starts_with(&format!("{{\n  \"schema\": {SNAPSHOT_SCHEMA},")));
     assert_eq!(
-        SNAPSHOT_SCHEMA, 4,
+        SNAPSHOT_SCHEMA, 5,
         "bumping the schema? update DESIGN.md and this test"
     );
-    assert!(json.contains("\"counters\": {"));
-    assert!(json.contains("\"assoc.apriori.passes\": 3"));
-    assert!(json.contains("\"gauges\": {"));
-    assert!(json.contains("\"assoc.mem.ck_bytes\": 4096"));
-    assert!(json.contains("\"spans\": {"));
-    // Span aggregates keep their v1 per-name object shape.
-    assert!(json.contains("\"count\": 1, \"total_ns\": "));
-    assert!(json.contains("\"events\": ["));
-    assert!(json.contains("\"name\": \"guard.trip\", \"detail\": \"deadline\""));
-    // v3: every gauge carries a write ordinal, as a plain integer map.
-    assert!(json.contains("\"gauge_seq\": {"));
-    assert!(json.contains("\"assoc.mem.ck_bytes\": 1"));
-    // v4: exemplars, a sparse per-histogram triple list (empty here —
-    // nothing was traced).
-    assert!(json.contains("\"exemplars\": {}"));
+    let parsed = Snapshot::from_json(&json).unwrap();
+    assert_eq!(parsed.to_json(), json);
+    assert_eq!(parsed.tree.len(), 2);
+    assert!(parsed.gauge("cluster.kmeans.sse").unwrap().is_nan());
 
-    // Later versions only append new keys, after the earlier ones.
     let order: Vec<usize> = TOP_LEVEL_KEYS
         .iter()
         .map(|k| {
-            json.find(&format!("\"{k}\""))
+            json.find(&format!("\n  \"{k}\""))
                 .unwrap_or_else(|| panic!("missing top-level key {k}"))
         })
         .collect();
@@ -72,65 +61,34 @@ fn v1_keys_and_shapes_are_unchanged() {
         order.windows(2).all(|w| w[0] < w[1]),
         "top-level key order changed: {json}"
     );
+    assert!(!json.contains("\"spans\""), "schema 5 dropped `spans`");
 }
 
-/// The v1–v3 portion of the document must be byte-identical whether or
-/// not the recorder ever produced schema-4 data: the v4 key is pure
-/// append, and untraced recorders serialize exactly as a schema-3
-/// writer did (modulo the version number itself).
 #[test]
-fn v1_to_v3_keys_are_byte_identical_under_schema_4() {
-    let populate = |rec: &InMemoryRecorder, traced: bool| {
-        let obs = Obs::new(rec);
-        obs.counter("serve.req.admitted", 2);
-        obs.gauge("serve.queue.depth", 1.0);
-        obs.event("guard.trip", "deadline");
-        if traced {
-            obs.value_traced("serve.latency.predict_ns", 800, TraceId(0xAB));
-        } else {
-            obs.value("serve.latency.predict_ns", 800);
-        }
-    };
-    let plain = InMemoryRecorder::new();
-    populate(&plain, false);
-    let traced = InMemoryRecorder::new();
-    populate(&traced, true);
-    let plain_json = plain.snapshot().to_json();
-    let traced_json = traced.snapshot().to_json();
-
-    // Everything before the appended v4 key is identical between a
-    // traced and an untraced recorder fed the same observations.
-    let cut = |s: &str| {
-        s.find("\"exemplars\"")
-            .map(|i| s[..i].to_owned())
-            .expect("schema-4 document carries the exemplars key")
-    };
-    assert_eq!(cut(&plain_json), cut(&traced_json));
-    // And the untraced document differs from a schema-3 writer's output
-    // only in the version number and the appended empty key.
-    let legacy_shape = plain_json
-        .replace("\"schema\": 4", "\"schema\": 3")
-        .replace(",\n  \"exemplars\": {}", "");
-    assert!(legacy_shape.contains("\"gauge_seq\": {"));
-    assert!(!legacy_shape.contains("exemplars"));
-}
-
-/// Documents written by every earlier schema version still parse, and
-/// the keys they lack default to empty.
-#[test]
-fn older_schema_documents_parse_with_empty_v4_keys() {
-    for schema in 1..=3u32 {
-        let doc = format!(
-            "{{\"schema\": {schema}, \"counters\": {{\"assoc.rules.emitted\": 4}}, \"gauges\": {{}}}}"
+fn every_other_schema_is_refused_by_number() {
+    let json = populated();
+    let current = format!("\"schema\": {SNAPSHOT_SCHEMA},");
+    for schema in [0u32, 1, 2, 3, 4, 6, 99] {
+        let doc = json.replacen(&current, &format!("\"schema\": {schema},"), 1);
+        let err = Snapshot::from_json(&doc).unwrap_err();
+        assert!(
+            err.contains(&format!("unsupported schema {schema} ")),
+            "{err}"
         );
-        let snap = Snapshot::from_json(&doc).unwrap();
-        assert_eq!(snap.counter("assoc.rules.emitted"), Some(4));
-        assert!(snap.exemplars.is_empty(), "schema {schema}");
-        assert!(snap.gauge_seq.is_empty() || schema >= 3);
     }
-    // Schema 5 (the future) is rejected, exactly like any unknown.
-    let err = Snapshot::from_json("{\"schema\": 5}").unwrap_err();
-    assert!(err.contains("unsupported schema 5"), "{err}");
+}
+
+#[test]
+fn every_section_is_required() {
+    let json = populated();
+    for key in &TOP_LEVEL_KEYS[1..] {
+        // Renaming the top-level key hides it from the reader.
+        let top = format!("\n  \"{key}\": ");
+        let doc = json.replacen(&top, &format!("\n  \"renamed_{key}\": "), 1);
+        assert_ne!(doc, json, "{key} is not a top-level key");
+        let err = Snapshot::from_json(&doc).unwrap_err();
+        assert!(err.contains(&format!("missing `{key}`")), "{key}: {err}");
+    }
 }
 
 #[test]
@@ -143,6 +101,7 @@ fn empty_snapshot_keeps_every_top_level_key() {
             "empty snapshot must still carry \"{key}\": {json}"
         );
     }
+    assert_eq!(Snapshot::from_json(&json).unwrap().to_json(), json);
 }
 
 #[test]

@@ -44,7 +44,7 @@ fn fixture(name: &str) -> String {
 }
 
 /// The scripted serving story behind the snapshot fixtures, as six
-/// cumulative schema-3 snapshots:
+/// cumulative snapshots:
 ///
 /// 1. baseline traffic — fast scores, shallow queue;
 /// 2. overload burst — slow scores, sheds, deep queue (rules breach);
@@ -114,7 +114,7 @@ fn report_matches_golden() {
 }
 
 /// The committed snapshots are exactly what the scripted scenario
-/// produces, and each one round-trips through the schema-3 reader —
+/// produces, and each one round-trips through the snapshot reader —
 /// a hand-edit that breaks canonical form fails here.
 #[test]
 fn snapshot_fixtures_are_canonical() {

@@ -27,6 +27,7 @@
 use crate::api::{ModelKind, Recommendation, Reply, ServeError, Tier};
 use dm_core::assoc::Rule;
 use dm_core::bayes::NaiveBayesModel;
+use dm_core::cluster::kmeans::nearest;
 use dm_core::cluster::KMeansModel;
 use dm_core::dataset::{Column, Dataset, Matrix};
 use dm_core::guard::Guard;
@@ -299,7 +300,7 @@ impl ModelSet {
             if guard.try_work(1).is_err() {
                 break;
             }
-            scores.push(nearest_sq_dist(&kmeans.centroids, matrix.row(r)));
+            scores.push(nearest(kmeans.centroids.iter_rows(), matrix.row(r)).1);
         }
         Ok((Reply::Scores(scores), Tier::Full))
     }
@@ -428,34 +429,9 @@ fn class_centroids(train: &Matrix, labels: &[u32]) -> Option<(Matrix, Vec<u32>)>
     Matrix::from_rows(&rows).ok().map(|m| (m, classes))
 }
 
-/// Class of the nearest centroid row (strictly-less keeps the first on
-/// ties, matching k-means' own `nearest`).
+/// Class of the nearest centroid row.
 fn nearest_class(centroids: &Matrix, classes: &[u32], point: &[f64]) -> u32 {
-    let mut best = (0usize, f64::INFINITY);
-    for i in 0..centroids.rows() {
-        let d = sq_dist(centroids.row(i), point);
-        if d < best.1 {
-            best = (i, d);
-        }
-    }
-    classes[best.0]
-}
-
-/// Squared distance to the nearest centroid — same accumulation order
-/// as `KMeansModel::score`, so the two are bit-identical.
-fn nearest_sq_dist(centroids: &Matrix, point: &[f64]) -> f64 {
-    let mut best = f64::INFINITY;
-    for i in 0..centroids.rows() {
-        let d = sq_dist(centroids.row(i), point);
-        if d < best {
-            best = d;
-        }
-    }
-    best
-}
-
-fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+    classes[nearest(centroids.iter_rows(), point).0]
 }
 
 // -- demo bundle ------------------------------------------------------
