@@ -31,7 +31,6 @@ use dm_dataset::{DataError, TransactionDb};
 use dm_guard::{Guard, Outcome, TruncationReason};
 use dm_obs::HeapSize;
 use dm_par::Parallelism;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Single-path subset enumeration is used only for paths of at most this
@@ -44,14 +43,17 @@ const NIL: u32 = u32::MAX;
 
 /// One FP-tree node: an item (as a frequency rank), its path count, a
 /// parent link for upward traversal, and the header-chain link tying
-/// together all nodes of the same item.
+/// together all nodes of the same item. A count is at most the number
+/// of transactions, which `mine_governed` caps at `u32::MAX`.
 #[derive(Debug, Clone, Copy)]
 struct FpNode {
     rank: u32,
-    count: usize,
+    count: u32,
     parent: u32,
     next: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<FpNode>() == 16);
 
 /// A compact FP-tree over frequency ranks `0..n_ranks` (rank 0 = most
 /// frequent item). Node 0 is the root sentinel.
@@ -63,51 +65,98 @@ struct FpTree {
     rank_counts: Vec<usize>,
 }
 
-impl FpTree {
-    fn new(n_ranks: usize) -> Self {
-        FpTree {
-            nodes: vec![FpNode {
-                rank: NIL,
-                count: 0,
-                parent: NIL,
-                next: NIL,
-            }],
-            headers: vec![NIL; n_ranks],
-            rank_counts: vec![0; n_ranks],
+/// The rank-ascending paths a tree is built from, in one flat buffer:
+/// path `p` is `ranks[bounds[p]..bounds[p + 1]]`, inserted `counts[p]`
+/// times.
+struct Paths {
+    ranks: Vec<u32>,
+    bounds: Vec<usize>,
+    counts: Vec<u32>,
+}
+
+impl Paths {
+    /// Room for exactly `n_paths` paths of `n_ranks` ranks in all.
+    fn with_capacity(n_paths: usize, n_ranks: usize) -> Self {
+        let mut bounds = Vec::with_capacity(n_paths + 1);
+        bounds.push(0);
+        let (ranks, counts) = (Vec::with_capacity(n_ranks), Vec::with_capacity(n_paths));
+        Paths {
+            ranks,
+            bounds,
+            counts,
         }
     }
 
-    /// Inserts a rank-ascending path with the given count, sharing
-    /// prefixes with existing paths. `children` is the build-time edge
-    /// index `(parent node, rank) -> child node`, dropped after build.
-    fn insert_path(
-        &mut self,
-        ranks: &[u32],
-        count: usize,
-        children: &mut HashMap<(u32, u32), u32>,
-    ) {
-        let mut at = 0u32;
-        for &r in ranks {
-            self.rank_counts[r as usize] += count;
-            match children.get(&(at, r)) {
-                Some(&child) => {
-                    self.nodes[child as usize].count += count;
-                    at = child;
-                }
-                None => {
-                    let idx = self.nodes.len() as u32;
-                    self.nodes.push(FpNode {
-                        rank: r,
-                        count,
-                        parent: at,
-                        next: self.headers[r as usize],
-                    });
-                    self.headers[r as usize] = idx;
-                    children.insert((at, r), idx);
-                    at = idx;
-                }
-            }
+    /// Ends the path whose ranks were pushed since the last call.
+    fn close(&mut self, count: u32) {
+        self.bounds.push(self.ranks.len());
+        self.counts.push(count);
+    }
+
+    fn get(&self, p: u32) -> &[u32] {
+        &self.ranks[self.bounds[p as usize]..self.bounds[p as usize + 1]]
+    }
+}
+
+/// Length of the longest common prefix of `a` and `b`.
+fn shared_prefix(a: &[u32], b: &[u32]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+impl FpTree {
+    /// Builds the tree over `n_ranks` ranks from `paths`. Inserted in
+    /// lexicographic order, each path shares exactly its longest common
+    /// prefix with the one before it, so a depth stack replaces a child
+    /// index, the node count is known before the arena is allocated,
+    /// and nodes come out in preorder.
+    fn build(n_ranks: usize, paths: &Paths) -> Self {
+        let mut order: Vec<u32> = (0..paths.counts.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| paths.get(a).cmp(paths.get(b)));
+        let mut n_nodes = 0;
+        let mut prev: &[u32] = &[];
+        for &p in &order {
+            let path = paths.get(p);
+            n_nodes += path.len() - shared_prefix(prev, path);
+            prev = path;
         }
+        let mut tree = FpTree {
+            nodes: Vec::with_capacity(1 + n_nodes),
+            headers: vec![NIL; n_ranks],
+            rank_counts: vec![0; n_ranks],
+        };
+        tree.nodes.push(FpNode {
+            rank: NIL,
+            count: 0,
+            parent: NIL,
+            next: NIL,
+        });
+        // `stack[d]` is the node at depth `d` on the previous path.
+        let mut stack: Vec<u32> = vec![0];
+        let mut prev: &[u32] = &[];
+        for &p in &order {
+            let (path, count) = (paths.get(p), paths.counts[p as usize]);
+            let shared = shared_prefix(prev, path);
+            stack.truncate(1 + shared);
+            for &node in &stack[1..] {
+                tree.nodes[node as usize].count += count;
+            }
+            for &r in &path[shared..] {
+                let idx = tree.nodes.len() as u32;
+                tree.nodes.push(FpNode {
+                    rank: r,
+                    count,
+                    parent: stack[stack.len() - 1],
+                    next: tree.headers[r as usize],
+                });
+                tree.headers[r as usize] = idx;
+                stack.push(idx);
+            }
+            for &r in path {
+                tree.rank_counts[r as usize] += count as usize;
+            }
+            prev = path;
+        }
+        tree
     }
 
     /// Number of non-root nodes.
@@ -115,9 +164,9 @@ impl FpTree {
         self.nodes.len() - 1
     }
 
-    /// Whether the tree is one downward path. Nodes are created in
-    /// insertion order, so a tree is a single path iff every node's
-    /// parent is its predecessor.
+    /// Whether the tree is one downward path. Nodes are in preorder, so
+    /// a tree is a single path iff every node's parent is its
+    /// predecessor.
     fn is_single_path(&self) -> bool {
         self.nodes[1..]
             .iter()
@@ -193,26 +242,22 @@ impl FpGrowth {
         rank_of_item: &[u32],
         guard: &Guard,
     ) -> Result<FpTree, TruncationReason> {
-        let mut tree = FpTree::new(frequent.len());
-        // One edge at most per frequent item occurrence: reserved once, the
-        // table never rehashes, and the build's peak memory does not hang on
-        // where the allocator finds room for each doubling beside `tree.nodes`.
-        let mut children = HashMap::with_capacity(frequent.iter().map(|&(_, c)| c).sum());
-        let mut ranks: Vec<u32> = Vec::new();
+        // One path per transaction, one rank per frequent-item occurrence.
+        let mut paths = Paths::with_capacity(db.len(), frequent.iter().map(|&(_, c)| c).sum());
         for (t, txn) in db.iter().enumerate() {
             if t.is_multiple_of(POLL_STRIDE) {
                 guard.check()?;
             }
-            ranks.clear();
-            ranks.extend(
+            let start = paths.ranks.len();
+            paths.ranks.extend(
                 txn.iter()
                     .map(|&item| rank_of_item[item as usize])
                     .filter(|&r| r != NIL),
             );
-            ranks.sort_unstable();
-            tree.insert_path(&ranks, 1, &mut children);
+            paths.ranks[start..].sort_unstable();
+            paths.close(1);
         }
-        Ok(tree)
+        Ok(FpTree::build(frequent.len(), &paths))
     }
 
     /// Projects the conditional FP-tree for suffix rank `r`: collects the
@@ -228,8 +273,10 @@ impl FpGrowth {
     ) -> Result<Option<FpTree>, TruncationReason> {
         // Pass A over the chain: conditional support of each prefix rank.
         let mut cond_counts = vec![0usize; r as usize];
+        let mut chain = 0;
         let mut node = tree.headers[r as usize];
         while node != NIL {
+            chain += 1;
             *poll += 1;
             if poll.is_multiple_of(POLL_STRIDE) {
                 guard.check()?;
@@ -237,7 +284,7 @@ impl FpGrowth {
             let n = &tree.nodes[node as usize];
             let mut up = n.parent;
             while up != 0 {
-                cond_counts[tree.nodes[up as usize].rank as usize] += n.count;
+                cond_counts[tree.nodes[up as usize].rank as usize] += n.count as usize;
                 up = tree.nodes[up as usize].parent;
             }
             node = n.next;
@@ -246,9 +293,7 @@ impl FpGrowth {
             return Ok(None);
         }
         // Pass B: rebuild with the surviving ranks.
-        let mut cond = FpTree::new(r as usize);
-        let mut children: HashMap<(u32, u32), u32> = HashMap::new();
-        let mut path: Vec<u32> = Vec::new();
+        let mut paths = Paths::with_capacity(chain, 0);
         let mut node = tree.headers[r as usize];
         while node != NIL {
             *poll += 1;
@@ -256,20 +301,20 @@ impl FpGrowth {
                 guard.check()?;
             }
             let n = &tree.nodes[node as usize];
-            path.clear();
+            let start = paths.ranks.len();
             let mut up = n.parent;
             while up != 0 {
                 let rank = tree.nodes[up as usize].rank;
                 if cond_counts[rank as usize] >= min_count {
-                    path.push(rank);
+                    paths.ranks.push(rank);
                 }
                 up = tree.nodes[up as usize].parent;
             }
-            path.reverse(); // upward walk yields descending ranks
-            cond.insert_path(&path, n.count, &mut children);
+            paths.ranks[start..].reverse(); // upward walk yields descending ranks
+            paths.close(n.count);
             node = n.next;
         }
-        Ok(Some(cond))
+        Ok(Some(FpTree::build(r as usize, &paths)))
     }
 
     /// Emits every frequent itemset whose lowest-frequency member is
@@ -298,7 +343,7 @@ impl FpGrowth {
             guard.try_work((1u64 << p) - 1)?;
             for mask in 1u32..(1u32 << p) {
                 let deepest = 31 - mask.leading_zeros(); // highest set bit
-                let count = tree.nodes[1 + deepest as usize].count;
+                let count = tree.nodes[1 + deepest as usize].count as usize;
                 let mut items: Itemset = suffix.clone();
                 for bit in 0..p {
                     if mask & (1 << bit) != 0 {
@@ -366,6 +411,12 @@ impl ItemsetMiner for FpGrowth {
         guard: &Guard,
     ) -> Result<Outcome<MiningResult>, DataError> {
         let min_count = self.min_support.resolve(db)?;
+        if u32::try_from(db.len()).is_err() {
+            return Err(DataError::InvalidParameter(format!(
+                "FP-Growth counts in u32: {} transactions exceed u32::MAX",
+                db.len()
+            )));
+        }
         let mut stats = MiningStats::default();
         let mut levels: Vec<Vec<(Itemset, usize)>> = Vec::new();
         let mut metrics = FpMetrics::default();
@@ -487,6 +538,8 @@ impl ItemsetMiner for FpGrowth {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, HashMap};
 
     fn paper_db() -> TransactionDb {
         TransactionDb::new(vec![
@@ -565,5 +618,131 @@ mod tests {
             .mine(&paper_db())
             .unwrap();
         assert!(result.itemsets.is_empty());
+    }
+
+    /// The build before sorted paths: each path walks down from the
+    /// root through a `(parent, rank) -> child` index, in input order.
+    fn hashed_build(n_ranks: usize, paths: &[(Vec<u32>, u32)]) -> FpTree {
+        let root = FpNode {
+            rank: NIL,
+            count: 0,
+            parent: NIL,
+            next: NIL,
+        };
+        let mut tree = FpTree {
+            nodes: vec![root],
+            headers: vec![NIL; n_ranks],
+            rank_counts: vec![0; n_ranks],
+        };
+        let mut children: HashMap<(u32, u32), u32> = HashMap::new();
+        for (ranks, count) in paths {
+            let mut at = 0u32;
+            for &r in ranks {
+                tree.rank_counts[r as usize] += *count as usize;
+                match children.get(&(at, r)) {
+                    Some(&child) => {
+                        tree.nodes[child as usize].count += count;
+                        at = child;
+                    }
+                    None => {
+                        let idx = tree.nodes.len() as u32;
+                        tree.nodes.push(FpNode {
+                            rank: r,
+                            count: *count,
+                            parent: at,
+                            next: tree.headers[r as usize],
+                        });
+                        tree.headers[r as usize] = idx;
+                        children.insert((at, r), idx);
+                        at = idx;
+                    }
+                }
+            }
+        }
+        tree
+    }
+
+    /// Every node's root-to-node rank path, with its count.
+    fn counts_by_path(tree: &FpTree) -> BTreeMap<Vec<u32>, u32> {
+        let mut out = BTreeMap::new();
+        for (i, node) in tree.nodes.iter().enumerate().skip(1) {
+            let mut path = Vec::new();
+            let mut at = i as u32;
+            while at != 0 {
+                path.push(tree.nodes[at as usize].rank);
+                at = tree.nodes[at as usize].parent;
+            }
+            path.reverse();
+            assert!(
+                out.insert(path, node.count).is_none(),
+                "two nodes, one path"
+            );
+        }
+        out
+    }
+
+    /// Rank-ascending paths over 6 ranks (so prefixes are shared), some
+    /// empty, with the first few repeated.
+    fn rank_paths() -> impl Strategy<Value = Vec<(Vec<u32>, u32)>> {
+        let path = (prop::collection::vec(0u32..6, 0..5), 1u32..4);
+        (prop::collection::vec(path, 0..40), 0usize..8).prop_map(|(mut paths, repeat)| {
+            for (ranks, _) in &mut paths {
+                ranks.sort_unstable();
+                ranks.dedup();
+            }
+            let repeat = repeat.min(paths.len());
+            paths.extend_from_within(..repeat);
+            paths
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sorted_build_matches_the_hashed_build(paths in rank_paths()) {
+            let mut flat = Paths::with_capacity(0, 0);
+            for (ranks, count) in &paths {
+                flat.ranks.extend_from_slice(ranks);
+                flat.close(*count);
+            }
+            let sorted = FpTree::build(6, &flat);
+            let hashed = hashed_build(6, &paths);
+            prop_assert_eq!(sorted.nodes.len(), hashed.nodes.len());
+            prop_assert_eq!(sorted.nodes.capacity(), sorted.nodes.len());
+            prop_assert_eq!(counts_by_path(&sorted), counts_by_path(&hashed));
+            prop_assert_eq!(&sorted.rank_counts, &hashed.rank_counts);
+            prop_assert_eq!(sorted.is_single_path(), hashed.is_single_path());
+            // Each header chain reaches every node of its rank once.
+            for r in 0..6u32 {
+                let mut chain = 0;
+                let mut node = sorted.headers[r as usize];
+                while node != NIL {
+                    prop_assert_eq!(sorted.nodes[node as usize].rank, r);
+                    chain += 1;
+                    node = sorted.nodes[node as usize].next;
+                }
+                let of_rank = sorted.nodes[1..].iter().filter(|n| n.rank == r).count();
+                prop_assert_eq!(chain, of_rank);
+            }
+        }
+    }
+
+    #[test]
+    fn the_main_tree_arena_is_exactly_sized() {
+        let db = TransactionDb::new(vec![
+            vec![1, 3, 4],
+            vec![2, 3, 5],
+            vec![1, 2, 3, 5],
+            vec![2, 5],
+            vec![3, 1],
+        ]);
+        // Items 3, 2, 5, 1, 4 ranked 0..5 by descending support.
+        let frequent = [(3, 4), (2, 3), (5, 3), (1, 3), (4, 1)];
+        let rank_of_item = vec![NIL, 3, 1, 0, 4, 2];
+        let tree =
+            FpGrowth::build_tree(&db, &frequent, &rank_of_item, &Guard::unlimited()).unwrap();
+        assert_eq!(tree.n_nodes(), 8);
+        assert_eq!(tree.nodes.capacity(), tree.nodes.len());
     }
 }

@@ -1,6 +1,6 @@
 //! Association-rule generation (`ap-genrules`).
 
-use crate::itemsets::{FrequentItemsets, Itemset};
+use crate::itemsets::FrequentItemsets;
 use dm_dataset::DataError;
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -8,13 +8,13 @@ use std::fmt;
 
 /// An association rule `antecedent ⇒ consequent` with its quality
 /// measures. Antecedent and consequent are disjoint sorted itemsets whose
-/// union is a frequent itemset.
-#[derive(Debug, Clone, PartialEq)]
+/// union is a frequent itemset; they share one allocation.
+#[derive(Clone, PartialEq)]
 pub struct Rule {
-    /// Left-hand side (non-empty).
-    pub antecedent: Itemset,
-    /// Right-hand side (non-empty).
-    pub consequent: Itemset,
+    /// The antecedent, then the consequent.
+    items: Box<[u32]>,
+    /// Where the consequent starts in `items`.
+    split: usize,
     /// Relative support of antecedent ∪ consequent.
     pub support: f64,
     /// `supp(A ∪ C) / supp(A)`.
@@ -23,15 +23,65 @@ pub struct Rule {
     pub lift: f64,
 }
 
+const _: () = assert!(std::mem::size_of::<Rule>() <= 48);
+
+impl Rule {
+    /// A rule with the given sides and measures.
+    pub fn new(
+        antecedent: &[u32],
+        consequent: &[u32],
+        support: f64,
+        confidence: f64,
+        lift: f64,
+    ) -> Self {
+        Rule {
+            items: [antecedent, consequent].concat().into_boxed_slice(),
+            split: antecedent.len(),
+            support,
+            confidence,
+            lift,
+        }
+    }
+
+    /// Left-hand side (non-empty).
+    pub fn antecedent(&self) -> &[u32] {
+        &self.items[..self.split]
+    }
+
+    /// Right-hand side (non-empty).
+    pub fn consequent(&self) -> &[u32] {
+        &self.items[self.split..]
+    }
+}
+
+impl fmt::Debug for Rule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Rule")
+            .field("antecedent", &self.antecedent())
+            .field("consequent", &self.consequent())
+            .field("support", &self.support)
+            .field("confidence", &self.confidence)
+            .field("lift", &self.lift)
+            .finish()
+    }
+}
+
 impl fmt::Display for Rule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (a, c) = (self.antecedent(), self.consequent());
+        let (supp, conf, lift) = (self.support, self.confidence, self.lift);
         write!(
             f,
-            "{:?} => {:?} (supp {:.4}, conf {:.4}, lift {:.2})",
-            self.antecedent, self.consequent, self.support, self.confidence, self.lift
+            "{a:?} => {c:?} (supp {supp:.4}, conf {conf:.4}, lift {lift:.2})"
         )
     }
 }
+
+/// A rule held during generation: its antecedent's and consequent's
+/// ranks, and the number of the itemset entry it splits, in scan order.
+type Found = (u32, u32, u32);
+
+const _: () = assert!(std::mem::size_of::<Found>() == 12);
 
 /// Generates confidence-filtered rules from mined frequent itemsets using
 /// the `ap-genrules` recursion of Agrawal & Srikant: consequents grow
@@ -76,101 +126,114 @@ impl RuleGenerator {
         if n == 0 || total == 0.0 || itemsets.max_len() < 2 {
             return Ok(Vec::new());
         }
-        let (sorted, index) = rank_index(itemsets);
+        let (sorted, by_rank, index) = rank_index(itemsets);
+        // The itemsets that can split into rules, level by level, and
+        // their counts by that numbering.
+        let entries = || (2..=itemsets.max_len()).flat_map(|size| itemsets.level(size));
+        let by_entry: Vec<usize> = entries().map(|&(_, count)| count).collect();
         // Reused across itemsets: `level` holds the consequents of one
         // width as rows, `kept` the ranks of those to extend, ascending
         // because rows come in lexicographic order.
         let (mut level, mut kept, mut buf) = (Vec::new(), Vec::new(), Vec::new());
-        // (support, confidence, lift, antecedent rank, consequent rank)
-        let mut found: Vec<(f64, f64, f64, u32, u32)> = Vec::new();
+        let mut found: Vec<Found> = Vec::new();
+        // Support and confidence as the scan computes them.
+        let support_of = |r: &Found| by_entry[r.2 as usize] as f64 / total;
+        let confidence_of =
+            |r: &Found| by_entry[r.2 as usize] as f64 / by_rank[r.0 as usize] as f64;
         // Ranks order as their itemsets do and `key` as `f64::total_cmp`,
         // so `order` is exactly the documented order.
         let key = |x: f64| {
             let bits = x.to_bits();
             Reverse(bits ^ (((bits as i64 >> 63) as u64) | (1 << 63)))
         };
-        let order = |r: &(f64, f64, f64, u32, u32)| (key(r.1), key(r.0), r.3, r.4);
+        let order = |r: &Found| (key(confidence_of(r)), key(support_of(r)), r.0, r.1);
         // Rules are kept from `floor` up, consequents extended from `extend`
         // up, which follows the floor where extensions cannot gain confidence.
         let (mut floor, mut extend) = (self.min_confidence, self.min_confidence);
         let closed = n < usize::MAX && itemsets.verify_downward_closure();
-        for size in 2..=itemsets.max_len() {
-            for (items, count) in itemsets.level(size) {
-                let count = *count as f64;
-                level.clone_from(items);
-                // The antecedent must stay non-empty.
-                for width in 1..items.len() {
-                    kept.clear();
-                    for consequent in level.chunks_exact(width) {
-                        buf.clear();
-                        buf.extend(items.iter().filter(|i| !consequent.contains(i)));
-                        // Downward closure guarantees both lookups succeed
-                        // on a complete mining result; a truncated one may
-                        // lack the subset, and then the rule is not emitted.
-                        let Some(&(ante_count, antecedent)) = index.get(buf.as_slice()) else {
+        for (entry, (items, count)) in entries().enumerate() {
+            let count = *count as f64;
+            level.clone_from(items);
+            // The antecedent must stay non-empty.
+            for width in 1..items.len() {
+                kept.clear();
+                for consequent in level.chunks_exact(width) {
+                    buf.clear();
+                    buf.extend(items.iter().filter(|i| !consequent.contains(i)));
+                    // Downward closure guarantees both lookups succeed on a
+                    // complete mining result; a truncated one may lack the
+                    // subset, and then the rule is not emitted.
+                    let Some(&antecedent) = index.get(buf.as_slice()) else {
+                        continue;
+                    };
+                    let confidence = count / by_rank[antecedent as usize] as f64;
+                    if confidence >= extend {
+                        let Some(&cons) = index.get(consequent) else {
                             continue;
                         };
-                        let confidence = count / ante_count as f64;
-                        if confidence >= extend {
-                            let Some(&(cons_count, cons)) = index.get(consequent) else {
-                                continue;
-                            };
-                            kept.push(cons);
-                            if confidence < floor {
-                                continue;
-                            }
-                            let lift = confidence / (cons_count as f64 / total);
-                            found.push((count / total, confidence, lift, antecedent, cons));
-                            if found.len() == n.saturating_mul(2) {
-                                found.select_nth_unstable_by_key(n - 1, order);
-                                found.truncate(n);
-                                floor = found[n - 1].1;
-                                if closed {
-                                    extend = floor;
-                                }
+                        kept.push(cons);
+                        if confidence < floor {
+                            continue;
+                        }
+                        found.push((antecedent, cons, entry as u32));
+                        if found.len() == n.saturating_mul(2) {
+                            found.select_nth_unstable_by_key(n - 1, order);
+                            found.truncate(n);
+                            floor = confidence_of(&found[n - 1]);
+                            if closed {
+                                extend = floor;
                             }
                         }
                     }
-                    level.clear();
-                    join(&sorted, &index, &kept, &mut level, &mut buf);
                 }
+                level.clear();
+                join(&sorted, &index, &kept, &mut level, &mut buf);
             }
         }
         // At most `2n - 1` remain; sorting them all is as cheap as selecting.
-        found.sort_unstable_by_key(order);
+        // Each key is computed once: the cache lives only for the sort, and
+        // is smaller than the rules materialized after it.
+        found.sort_by_cached_key(order);
         found.truncate(n);
         Ok(found
             .iter()
-            .map(|&(support, confidence, lift, a, c)| Rule {
-                antecedent: sorted[a as usize].to_vec(),
-                consequent: sorted[c as usize].to_vec(),
-                support,
-                confidence,
-                lift,
+            .map(|r @ &(a, c, _)| {
+                let conf = confidence_of(r);
+                let lift = conf / (by_rank[c as usize] as f64 / total);
+                Rule::new(
+                    sorted[a as usize],
+                    sorted[c as usize],
+                    support_of(r),
+                    conf,
+                    lift,
+                )
             })
             .collect())
     }
 }
 
-/// Itemset → (support count, rank).
-type RankIndex<'a> = HashMap<&'a [u32], (usize, u32)>;
+/// Itemset → rank.
+type RankIndex<'a> = HashMap<&'a [u32], u32>;
 
 /// Every frequent itemset once, in lexicographic order (an itemset's
-/// rank is its position), and the index into it.
-fn rank_index(itemsets: &FrequentItemsets) -> (Vec<&[u32]>, RankIndex<'_>) {
+/// rank is its position), the support counts by rank, and the index.
+fn rank_index(itemsets: &FrequentItemsets) -> (Vec<&[u32]>, Vec<usize>, RankIndex<'_>) {
     let mut all: Vec<(&[u32], usize)> = itemsets.iter().map(|(i, c)| (i.as_slice(), c)).collect();
     // Stable, so a duplicated itemset keeps its last count, as
     // `FrequentItemsets::support_count` does.
     all.sort_by(|a, b| a.0.cmp(b.0));
-    let mut sorted: Vec<&[u32]> = Vec::with_capacity(all.len());
+    let (mut sorted, mut counts) = (Vec::with_capacity(all.len()), Vec::with_capacity(all.len()));
     let mut index = HashMap::with_capacity(all.len());
     for (items, count) in all {
-        if sorted.last() != Some(&items) {
+        if sorted.last() == Some(&items) {
+            counts.pop();
+        } else {
+            index.insert(items, sorted.len() as u32);
             sorted.push(items);
         }
-        index.insert(items, (count, sorted.len() as u32 - 1));
+        counts.push(count);
     }
-    (sorted, index)
+    (sorted, counts, index)
 }
 
 /// `apriori-gen` over the consequents ranked `kept`: joins each pair
@@ -202,7 +265,7 @@ fn join(
                 subset.push(last);
                 index
                     .get(subset.as_slice())
-                    .is_some_and(|(_, rank)| kept.binary_search(rank).is_ok())
+                    .is_some_and(|rank| kept.binary_search(rank).is_ok())
             });
             if frequent {
                 out.extend_from_slice(a);
@@ -215,6 +278,7 @@ fn join(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::itemsets::Itemset;
     use crate::{Apriori, ItemsetMiner, MinSupport};
     use dm_dataset::TransactionDb;
 
@@ -238,10 +302,10 @@ mod tests {
         // {1}=>{3}, {2}=>{5}, {5}=>{2}, {1,3}? supp{1,3}=2 ... check a few.
         assert!(rules
             .iter()
-            .any(|r| r.antecedent == vec![1] && r.consequent == vec![3]));
+            .any(|r| r.antecedent() == [1] && r.consequent() == [3]));
         assert!(rules
             .iter()
-            .any(|r| r.antecedent == vec![2] && r.consequent == vec![5]));
+            .any(|r| r.antecedent() == [2] && r.consequent() == [5]));
         assert!(rules.iter().all(|r| r.confidence >= 1.0 - 1e-12));
     }
 
@@ -252,7 +316,7 @@ mod tests {
         // -> lift (2/3)/(3/4) = 8/9.
         let r = rules
             .iter()
-            .find(|r| r.antecedent == vec![3] && r.consequent == vec![2])
+            .find(|r| r.antecedent() == [3] && r.consequent() == [2])
             .expect("rule present");
         assert!((r.confidence - 2.0 / 3.0).abs() < 1e-12);
         assert!((r.support - 0.5).abs() < 1e-12);
@@ -266,7 +330,7 @@ mod tests {
         // = 2/3 ≥ 0.5 and must appear via the consequent-growing pass.
         assert!(rules
             .iter()
-            .any(|r| r.antecedent == vec![3] && r.consequent == vec![2, 5]));
+            .any(|r| r.antecedent() == [3] && r.consequent() == [2, 5]));
     }
 
     #[test]
@@ -289,9 +353,14 @@ mod tests {
     fn antecedent_and_consequent_partition_the_itemset() {
         let rules = RuleGenerator::new(0.3).generate(&mined()).unwrap();
         for r in &rules {
-            assert!(!r.antecedent.is_empty());
-            assert!(!r.consequent.is_empty());
-            let mut union: Itemset = r.antecedent.iter().chain(&r.consequent).copied().collect();
+            assert!(!r.antecedent().is_empty());
+            assert!(!r.consequent().is_empty());
+            let mut union: Itemset = r
+                .antecedent()
+                .iter()
+                .chain(r.consequent())
+                .copied()
+                .collect();
             union.sort_unstable();
             let dup_free = union.windows(2).all(|w| w[0] < w[1]);
             assert!(dup_free, "antecedent and consequent overlap: {r}");
@@ -317,5 +386,27 @@ mod tests {
         let s = rules[0].to_string();
         assert!(s.contains("=>"));
         assert!(s.contains("conf"));
+    }
+
+    /// `Display` and `Debug` print a rule as they did when it was a
+    /// struct of two `Vec`s and three measures.
+    #[test]
+    fn formats_are_stable() {
+        let rule = Rule::new(&[1, 4], &[9], 0.25, 2.0 / 3.0, 1.5);
+        assert_eq!(
+            rule.to_string(),
+            "[1, 4] => [9] (supp 0.2500, conf 0.6667, lift 1.50)"
+        );
+        assert_eq!(
+            format!("{rule:?}"),
+            "Rule { antecedent: [1, 4], consequent: [9], support: 0.25, \
+             confidence: 0.6666666666666666, lift: 1.5 }"
+        );
+        assert_eq!(
+            format!("{rule:#?}"),
+            "Rule {\n    antecedent: [\n        1,\n        4,\n    ],\n    \
+             consequent: [\n        9,\n    ],\n    support: 0.25,\n    \
+             confidence: 0.6666666666666666,\n    lift: 1.5,\n}"
+        );
     }
 }

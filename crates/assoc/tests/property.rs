@@ -91,9 +91,9 @@ proptest! {
             prop_assert!(r.support > 0.0 && r.support <= 1.0);
             prop_assert!(r.lift > 0.0);
             // Confidence is exactly supp(A∪C)/supp(A) per the database.
-            let mut union: Vec<u32> = r.antecedent.iter().chain(&r.consequent).copied().collect();
+            let mut union: Vec<u32> = r.antecedent().iter().chain(r.consequent()).copied().collect();
             union.sort_unstable();
-            let expected = db.support_count(&union) as f64 / db.support_count(&r.antecedent) as f64;
+            let expected = db.support_count(&union) as f64 / db.support_count(r.antecedent()) as f64;
             prop_assert!((r.confidence - expected).abs() < 1e-12);
         }
     }
@@ -113,11 +113,11 @@ proptest! {
         let n = db.len() as f64;
         for r in &rules {
             let mut union: Vec<u32> =
-                r.antecedent.iter().chain(&r.consequent).copied().collect();
+                r.antecedent().iter().chain(r.consequent()).copied().collect();
             union.sort_unstable();
             let supp_union = db.support_count(&union) as f64;
-            let supp_a = db.support_count(&r.antecedent) as f64;
-            let supp_c = db.support_count(&r.consequent) as f64;
+            let supp_a = db.support_count(r.antecedent()) as f64;
+            let supp_c = db.support_count(r.consequent()) as f64;
             prop_assert!(supp_a > 0.0 && supp_c > 0.0, "rule over unseen itemsets");
             prop_assert!(
                 (r.support - supp_union / n).abs() < 1e-12,
@@ -148,7 +148,7 @@ proptest! {
                 let expected_conf = *count as f64 / db.support_count(&[a]) as f64;
                 let present = rules
                     .iter()
-                    .any(|r| r.antecedent == vec![a] && r.consequent == vec![c]);
+                    .any(|r| r.antecedent() == [a] && r.consequent() == [c]);
                 prop_assert_eq!(present, expected_conf >= conf,
                     "rule {}=>{} conf {}", a, c, expected_conf);
             }

@@ -25,9 +25,9 @@ fn rules_hash(rules: &[Rule]) -> u64 {
         }
     };
     for r in rules {
-        r.antecedent.iter().for_each(|&i| feed(u64::from(i)));
+        r.antecedent().iter().for_each(|&i| feed(u64::from(i)));
         feed(u64::MAX);
-        r.consequent.iter().for_each(|&i| feed(u64::from(i)));
+        r.consequent().iter().for_each(|&i| feed(u64::from(i)));
         feed(r.support.to_bits());
         feed(r.confidence.to_bits());
         feed(r.lift.to_bits());

@@ -44,13 +44,13 @@ fn oracle(itemsets: &FrequentItemsets, min_confidence: f64) -> Vec<Rule> {
                         let Some(cons_count) = itemsets.support_count(&consequent) else {
                             continue;
                         };
-                        rules.push(Rule {
-                            antecedent,
-                            consequent: consequent.clone(),
+                        rules.push(Rule::new(
+                            &antecedent,
+                            &consequent,
                             support,
                             confidence,
-                            lift: confidence / (cons_count as f64 / n),
-                        });
+                            confidence / (cons_count as f64 / n),
+                        ));
                         survivors.push(consequent);
                     }
                 }
@@ -63,8 +63,8 @@ fn oracle(itemsets: &FrequentItemsets, min_confidence: f64) -> Vec<Rule> {
         b.confidence
             .total_cmp(&a.confidence)
             .then(b.support.total_cmp(&a.support))
-            .then(a.antecedent.cmp(&b.antecedent))
-            .then(a.consequent.cmp(&b.consequent))
+            .then(a.antecedent().cmp(b.antecedent()))
+            .then(a.consequent().cmp(b.consequent()))
     });
     rules
 }
@@ -201,7 +201,7 @@ fn pruned_consequents_stay_pruned_on_non_monotone_counts() {
     let rules = RuleGenerator::new(0.5).generate(&itemsets).unwrap();
     assert!(!rules
         .iter()
-        .any(|r| r.antecedent == [1] && r.consequent == [2, 3, 4]));
+        .any(|r| r.antecedent() == [1] && r.consequent() == [2, 3, 4]));
     assert_eq!(rules, oracle(&itemsets, 0.5));
 }
 
@@ -218,7 +218,7 @@ fn rules_tied_with_the_floor_are_kept() {
     let all = generator.generate(&mined.itemsets).unwrap();
     assert_eq!(all.len(), 6);
     assert!(all.iter().all(|r| r.confidence == 1.0));
-    assert_eq!(all[0].antecedent, [5]);
+    assert_eq!(all[0].antecedent(), [5]);
     for n in 0..=7 {
         assert_top_is_head(&generator, &mined.itemsets, n);
     }
@@ -239,7 +239,7 @@ fn the_floor_prunes_consequent_extensions() {
     let all = generator.generate(&mined.itemsets).unwrap();
     let extension = all
         .iter()
-        .position(|r| r.antecedent == [5] && r.consequent == [6, 7])
+        .position(|r| r.antecedent() == [5] && r.consequent() == [6, 7])
         .expect("generate emits the extension");
     assert!(extension >= 4);
     for n in 0..=all.len() + 1 {
@@ -259,7 +259,7 @@ fn the_floor_is_the_nth_best_confidence() {
     let mined = BruteForce::new(MinSupport::Count(2)).mine(&db).unwrap();
     let generator = RuleGenerator::new(0.4);
     let all = generator.generate(&mined.itemsets).unwrap();
-    assert_eq!(all[1].antecedent, [5]);
+    assert_eq!(all[1].antecedent(), [5]);
     assert_eq!(all[1].confidence, 0.75);
     for n in 0..=all.len() + 1 {
         assert_top_is_head(&generator, &mined.itemsets, n);
@@ -282,11 +282,8 @@ fn the_floor_prunes_no_extension_on_rising_counts() {
     );
     let generator = RuleGenerator::new(0.0);
     let all = generator.generate(&itemsets).unwrap();
-    assert_eq!(
-        (all[0].antecedent.as_slice(), all[0].confidence),
-        (&[1][..], 15.0)
-    );
-    assert_eq!(all[0].consequent, [2, 3]);
+    assert_eq!((all[0].antecedent(), all[0].confidence), (&[1][..], 15.0));
+    assert_eq!(all[0].consequent(), [2, 3]);
     for n in 0..=all.len() + 1 {
         assert_top_is_head(&generator, &itemsets, n);
     }

@@ -91,8 +91,8 @@ pub fn save_artifacts(models: &ModelSet) -> String {
         w.key("rules").arr(Inline, |w| {
             for rule in models.rules() {
                 w.obj(Inline, |w| {
-                    w.key("antecedent").list(Inline, &rule.antecedent);
-                    w.key("consequent").list(Inline, &rule.consequent);
+                    w.key("antecedent").list(Inline, rule.antecedent());
+                    w.key("consequent").list(Inline, rule.consequent());
                     w.key("support").f64_plain(rule.support);
                     w.key("confidence").f64_plain(rule.confidence);
                     w.key("lift").f64_plain(rule.lift);
@@ -242,13 +242,15 @@ pub fn load_artifacts(text: &str) -> Load<ModelSet> {
 
     let mut rules = Vec::new();
     for rule_doc in doc.req::<&[Json]>("rules")? {
-        rules.push(Rule {
-            antecedent: rule_doc.req("antecedent")?,
-            consequent: rule_doc.req("consequent")?,
-            support: rule_doc.req("support")?,
-            confidence: rule_doc.req("confidence")?,
-            lift: rule_doc.req("lift")?,
-        });
+        let antecedent: Vec<u32> = rule_doc.req("antecedent")?;
+        let consequent: Vec<u32> = rule_doc.req("consequent")?;
+        rules.push(Rule::new(
+            &antecedent,
+            &consequent,
+            rule_doc.req("support")?,
+            rule_doc.req("confidence")?,
+            rule_doc.req("lift")?,
+        ));
     }
     let mut singletons = Vec::new();
     for pair in doc.req::<&[Json]>("singletons")? {

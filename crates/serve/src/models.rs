@@ -333,13 +333,13 @@ impl ModelSet {
                 ));
             }
             if !rule
-                .antecedent
+                .antecedent()
                 .iter()
                 .all(|item| held.binary_search(item).is_ok())
             {
                 continue;
             }
-            for &item in &rule.consequent {
+            for &item in rule.consequent() {
                 if held.binary_search(&item).is_ok() {
                     continue;
                 }

@@ -52,20 +52,8 @@ fn bundle() -> ModelSet {
     let knn = Knn::new(3).fit(&points, &classes).unwrap();
     let kmeans = KMeans::new(2).with_seed(7).fit_model(&points).unwrap();
     let rules = vec![
-        Rule {
-            antecedent: vec![1, 4],
-            consequent: vec![9],
-            support: 0.25,
-            confidence: 2.0 / 3.0,
-            lift: 1.0,
-        },
-        Rule {
-            antecedent: vec![2],
-            consequent: vec![3, 7],
-            support: 0.1,
-            confidence: 0.5,
-            lift: 1e-7,
-        },
+        Rule::new(&[1, 4], &[9], 0.25, 2.0 / 3.0, 1.0),
+        Rule::new(&[2], &[3, 7], 0.1, 0.5, 1e-7),
     ];
     ModelSet::new(schema)
         .with_default_class(1)

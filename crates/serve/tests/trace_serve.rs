@@ -199,16 +199,19 @@ fn refresh_between_submit_and_pickup_is_recorded_as_a_race() {
         traced_config(1, 64, 1),
         rec as Arc<dyn Recorder>,
     );
-    // Build a queue backlog the single worker has to chew through,
-    // enqueue the probe behind it, then refresh while the probe is
-    // still queued: the probe is served under a newer generation than
-    // it saw at admission.
-    for _ in 0..20 {
-        let _ = server.submit(predict_req()).unwrap();
-    }
-    let probe = server.submit(predict_req()).unwrap();
+    // Submit a filler and then the probe while the refresh holds the
+    // bundle's write lock (`submit` takes no model lock). The single
+    // worker blocks on the lock serving the filler, so it dequeues the
+    // probe only after the generation bump: the probe is served under a
+    // newer generation than it saw at admission.
+    let mut probe = None;
+    server.refresh_artifact(|m| {
+        let _filler = server.submit(predict_req()).unwrap();
+        probe = Some(server.submit(predict_req()).unwrap());
+        m
+    });
+    let probe = probe.unwrap();
     let id = probe.trace_id().unwrap();
-    server.refresh_artifact(|m| m);
     probe.wait(WAIT).unwrap();
     let tracer = server.tracer().unwrap();
     server.shutdown();

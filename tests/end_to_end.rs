@@ -31,13 +31,13 @@ fn market_basket_pipeline_end_to_end() {
         assert!(rule.confidence >= 0.7);
         // Re-derive confidence straight from the database.
         let mut union: Vec<u32> = rule
-            .antecedent
+            .antecedent()
             .iter()
-            .chain(&rule.consequent)
+            .chain(rule.consequent())
             .copied()
             .collect();
         union.sort_unstable();
-        let expected = db.support_count(&union) as f64 / db.support_count(&rule.antecedent) as f64;
+        let expected = db.support_count(&union) as f64 / db.support_count(rule.antecedent()) as f64;
         assert!((rule.confidence - expected).abs() < 1e-12);
     }
 }
