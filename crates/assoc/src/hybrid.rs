@@ -108,8 +108,9 @@ impl ItemsetMiner for AprioriHybrid {
                 }
                 stats.passes.push(p.clone());
             }
-            for k in 1..=full.result.itemsets.max_len() {
-                levels.push(full.result.itemsets.level(k).to_vec());
+            let mined = &full.result.itemsets;
+            for k in 1..=mined.max_len() {
+                levels.push(mined.level(k).map(|(i, c)| (i.clone(), c)).collect());
             }
             if !full.is_complete() {
                 break 'mine;

@@ -3,7 +3,6 @@
 use crate::itemsets::FrequentItemsets;
 use dm_dataset::DataError;
 use std::cmp::Reverse;
-use std::collections::HashMap;
 use std::fmt;
 
 /// An association rule `antecedent ⇒ consequent` with its quality
@@ -77,8 +76,8 @@ impl fmt::Display for Rule {
     }
 }
 
-/// A rule held during generation: its antecedent's and consequent's
-/// ranks, and the number of the itemset entry it splits, in scan order.
+/// A rule held during generation: the ranks of its antecedent, its
+/// consequent and the itemset it splits.
 type Found = (u32, u32, u32);
 
 const _: () = assert!(std::mem::size_of::<Found>() == 12);
@@ -126,33 +125,30 @@ impl RuleGenerator {
         if n == 0 || total == 0.0 || itemsets.max_len() < 2 {
             return Ok(Vec::new());
         }
-        let (sorted, by_rank, index) = rank_index(itemsets);
-        // The itemsets that can split into rules, level by level, and
-        // their counts by that numbering.
-        let entries = || (2..=itemsets.max_len()).flat_map(|size| itemsets.level(size));
-        let by_entry: Vec<usize> = entries().map(|&(_, count)| count).collect();
+        let count_of = |rank: u32| itemsets.ranked(rank).1;
         // Reused across itemsets: `level` holds the consequents of one
         // width as rows, `kept` the ranks of those to extend, ascending
         // because rows come in lexicographic order.
         let (mut level, mut kept, mut buf) = (Vec::new(), Vec::new(), Vec::new());
         let mut found: Vec<Found> = Vec::new();
         // Support and confidence as the scan computes them.
-        let support_of = |r: &Found| by_entry[r.2 as usize] as f64 / total;
-        let confidence_of =
-            |r: &Found| by_entry[r.2 as usize] as f64 / by_rank[r.0 as usize] as f64;
-        // Ranks order as their itemsets do and `key` as `f64::total_cmp`,
+        let support_of = |r: &Found| count_of(r.2) as f64 / total;
+        let confidence_of = |r: &Found| count_of(r.2) as f64 / count_of(r.0) as f64;
+        // Ranks order as their itemsets do, `key` as `f64::total_cmp`, and
+        // supports, all divided by one `total`, as their itemsets' counts,
         // so `order` is exactly the documented order.
         let key = |x: f64| {
             let bits = x.to_bits();
             Reverse(bits ^ (((bits as i64 >> 63) as u64) | (1 << 63)))
         };
-        let order = |r: &Found| (key(confidence_of(r)), key(support_of(r)), r.0, r.1);
+        let order = |r: &Found| (key(confidence_of(r)), Reverse(count_of(r.2)), r.0, r.1);
         // Rules are kept from `floor` up, consequents extended from `extend`
         // up, which follows the floor where extensions cannot gain confidence.
         let (mut floor, mut extend) = (self.min_confidence, self.min_confidence);
         let closed = n < usize::MAX && itemsets.verify_downward_closure();
-        for (entry, (items, count)) in entries().enumerate() {
-            let count = *count as f64;
+        for rank in 0..itemsets.len() as u32 {
+            let (items, count) = itemsets.ranked(rank);
+            let count = count as f64;
             level.clone_from(items);
             // The antecedent must stay non-empty.
             for width in 1..items.len() {
@@ -163,19 +159,19 @@ impl RuleGenerator {
                     // Downward closure guarantees both lookups succeed on a
                     // complete mining result; a truncated one may lack the
                     // subset, and then the rule is not emitted.
-                    let Some(&antecedent) = index.get(buf.as_slice()) else {
+                    let Some(antecedent) = itemsets.rank(&buf) else {
                         continue;
                     };
-                    let confidence = count / by_rank[antecedent as usize] as f64;
+                    let confidence = count / count_of(antecedent) as f64;
                     if confidence >= extend {
-                        let Some(&cons) = index.get(consequent) else {
+                        let Some(cons) = itemsets.rank(consequent) else {
                             continue;
                         };
                         kept.push(cons);
                         if confidence < floor {
                             continue;
                         }
-                        found.push((antecedent, cons, entry as u32));
+                        found.push((antecedent, cons, rank));
                         if found.len() == n.saturating_mul(2) {
                             found.select_nth_unstable_by_key(n - 1, order);
                             found.truncate(n);
@@ -187,7 +183,7 @@ impl RuleGenerator {
                     }
                 }
                 level.clear();
-                join(&sorted, &index, &kept, &mut level, &mut buf);
+                join(itemsets, &kept, &mut level, &mut buf);
             }
         }
         // At most `2n - 1` remain; sorting them all is as cheap as selecting.
@@ -199,10 +195,10 @@ impl RuleGenerator {
             .iter()
             .map(|r @ &(a, c, _)| {
                 let conf = confidence_of(r);
-                let lift = conf / (by_rank[c as usize] as f64 / total);
+                let lift = conf / (count_of(c) as f64 / total);
                 Rule::new(
-                    sorted[a as usize],
-                    sorted[c as usize],
+                    itemsets.ranked(a).0,
+                    itemsets.ranked(c).0,
                     support_of(r),
                     conf,
                     lift,
@@ -212,47 +208,17 @@ impl RuleGenerator {
     }
 }
 
-/// Itemset → rank.
-type RankIndex<'a> = HashMap<&'a [u32], u32>;
-
-/// Every frequent itemset once, in lexicographic order (an itemset's
-/// rank is its position), the support counts by rank, and the index.
-fn rank_index(itemsets: &FrequentItemsets) -> (Vec<&[u32]>, Vec<usize>, RankIndex<'_>) {
-    let mut all: Vec<(&[u32], usize)> = itemsets.iter().map(|(i, c)| (i.as_slice(), c)).collect();
-    // Stable, so a duplicated itemset keeps its last count, as
-    // `FrequentItemsets::support_count` does.
-    all.sort_by(|a, b| a.0.cmp(b.0));
-    let (mut sorted, mut counts) = (Vec::with_capacity(all.len()), Vec::with_capacity(all.len()));
-    let mut index = HashMap::with_capacity(all.len());
-    for (items, count) in all {
-        if sorted.last() == Some(&items) {
-            counts.pop();
-        } else {
-            index.insert(items, sorted.len() as u32);
-            sorted.push(items);
-        }
-        counts.push(count);
-    }
-    (sorted, counts, index)
-}
-
 /// `apriori-gen` over the consequents ranked `kept`: joins each pair
 /// sharing all but its last item, and appends the joined row to `out`
 /// only if every subset one item shorter is ranked in `kept` too.
-fn join(
-    sorted: &[&[u32]],
-    index: &RankIndex<'_>,
-    kept: &[u32],
-    out: &mut Vec<u32>,
-    subset: &mut Vec<u32>,
-) {
+fn join(itemsets: &FrequentItemsets, kept: &[u32], out: &mut Vec<u32>, subset: &mut Vec<u32>) {
     for (i, &a) in kept.iter().enumerate() {
-        let a = sorted[a as usize];
+        let a = itemsets.ranked(a).0;
         let prefix = &a[..a.len() - 1];
         // `kept` is in lexicographic order, so the rows sharing `a`'s
         // prefix directly follow it.
         for &b in &kept[i + 1..] {
-            let b = sorted[b as usize];
+            let b = itemsets.ranked(b).0;
             if !b.starts_with(prefix) {
                 break;
             }
@@ -263,9 +229,9 @@ fn join(
                 subset.extend_from_slice(&a[..skip]);
                 subset.extend_from_slice(&a[skip + 1..]);
                 subset.push(last);
-                index
-                    .get(subset.as_slice())
-                    .is_some_and(|rank| kept.binary_search(rank).is_ok())
+                itemsets
+                    .rank(subset)
+                    .is_some_and(|rank| kept.binary_search(&rank).is_ok())
             });
             if frequent {
                 out.extend_from_slice(a);

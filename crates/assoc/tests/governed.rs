@@ -130,8 +130,8 @@ fn brute_force_truncation_keeps_complete_levels() {
         // full run's level, not a fragment of it.
         for k in 1..=out.result.itemsets.max_len() {
             assert_eq!(
-                out.result.itemsets.level(k),
-                full.itemsets.level(k),
+                out.result.itemsets.level(k).collect::<Vec<_>>(),
+                full.itemsets.level(k).collect::<Vec<_>>(),
                 "brute level {k} under max_work {max_work}"
             );
         }

@@ -145,7 +145,7 @@ proptest! {
         let rules = RuleGenerator::new(conf).generate(&mined.itemsets).unwrap();
         for (itemset, count) in mined.itemsets.level(2) {
             for (a, c) in [(itemset[0], itemset[1]), (itemset[1], itemset[0])] {
-                let expected_conf = *count as f64 / db.support_count(&[a]) as f64;
+                let expected_conf = count as f64 / db.support_count(&[a]) as f64;
                 let present = rules
                     .iter()
                     .any(|r| r.antecedent() == [a] && r.consequent() == [c]);

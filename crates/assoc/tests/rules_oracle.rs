@@ -23,7 +23,7 @@ fn oracle(itemsets: &FrequentItemsets, min_confidence: f64) -> Vec<Rule> {
     }
     for size in 2..=itemsets.max_len() {
         for (items, count) in itemsets.level(size) {
-            let support = *count as f64 / n;
+            let support = count as f64 / n;
             let mut consequents: Vec<Itemset> = items.iter().map(|&i| vec![i]).collect();
             while !consequents.is_empty() {
                 let mut survivors: Vec<Itemset> = Vec::new();
@@ -39,7 +39,7 @@ fn oracle(itemsets: &FrequentItemsets, min_confidence: f64) -> Vec<Rule> {
                     let Some(ante_count) = itemsets.support_count(&antecedent) else {
                         continue;
                     };
-                    let confidence = *count as f64 / ante_count as f64;
+                    let confidence = count as f64 / ante_count as f64;
                     if confidence >= min_confidence {
                         let Some(cons_count) = itemsets.support_count(&consequent) else {
                             continue;
